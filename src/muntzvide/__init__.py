@@ -26,14 +26,10 @@ from .collocation import (
     SingularSystemError,
     SystemMatrices,
     assemble,
-    eval_solution,
-    kernel_tilde,
     solve,
 )
 from .muntz_basis import (
     CollocationGrid,
-    basis_eval,
-    basis_eval_all,
     basis_matrix_z,
     build_grid,
     interpolate,
@@ -57,12 +53,10 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     gauss_jacobi,
-    jacobi_deriv,
-    jacobi_eval,
     muntz_weight,
     singular_ratio,
     to_fractional,
 )
-from .specfun import beta, ln_gamma
+from .specfun import beta
 
 __version__ = "0.1.0"

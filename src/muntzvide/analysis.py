@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -16,6 +17,7 @@ from .problem import (
     VideProblem,
     default_lambda,
     exact_phi_pair,
+    sample,
     scale_to_unit,
 )
 from .quadrature import QuadratureError, gauss_jacobi, to_fractional
@@ -51,19 +53,15 @@ class InsufficientDataError(ValueError):
 class SolverConfig:
     """Knobs for a single solve or a sweep.
 
-    ``lam=None`` defers to the problem's recommended exponent.  ``quad_points``
-    defaults to N+1 (one point per unknown), the scheme's natural choice; it
-    is exposed separately for refinement studies.  The L2 norm weight
-    defaults to the grid's (alpha, beta).
+    ``lam=None`` defers to the problem's recommended exponent.  The kernel
+    and integration rules have N+1 points (one per unknown), and the L2 norm
+    is weighted by the grid's (alpha, beta).
     """
 
     lam: Optional[float] = None
     alpha: float = -0.5
     beta: float = -0.5
-    quad_points: Optional[int] = None
     l2_points: Optional[int] = None
-    l2_alpha: Optional[float] = None
-    l2_beta: Optional[float] = None
     linf_points: int = 2001
 
 
@@ -102,43 +100,48 @@ class RateReport:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSolution:
-    """High-order solve standing in for an unknown exact solution."""
+    """High-order solve standing in for an unknown exact solution.
+
+    Evaluate it with ``interpolate(ref.grid, ref.u, theta)`` (and ``ref.u_star``
+    for the derivative channel).
+    """
 
     grid: CollocationGrid
     u: np.ndarray
     u_star: np.ndarray
     n: int
 
-    def __call__(self, theta: float) -> tuple[float, float]:
-        return (
-            interpolate(self.grid, self.u, theta),
-            interpolate(self.grid, self.u_star, theta),
-        )
-
 
 def weighted_l2_error(
-    err_fn: Callable[[float], float], alpha: float, beta: float, m: int
+    err_fn: Callable[[np.ndarray], np.ndarray], alpha: float, beta: float, m: int
 ) -> float:
-    """Weighted L2 norm of err_fn against (1-theta)^alpha theta^beta on [0, 1]."""
+    """Weighted L2 norm of err_fn against (1-theta)^alpha theta^beta on [0, 1].
+
+    ``err_fn`` is called once, on the array of the m quadrature nodes.
+    """
     if m < 1:
         raise ValueError(f"need at least one quadrature point, got {m}")
     rule = to_fractional(gauss_jacobi(m, alpha, beta), 1.0)
-    vals = np.array([err_fn(t) for t in rule.nodes])
+    vals = sample(err_fn, rule.nodes)
     return math.sqrt(float(np.dot(rule.weights, vals * vals)))
 
 
 def linf_error(
-    err_fn: Callable[[float], float],
+    err_fn: Callable[[np.ndarray], np.ndarray],
     grid_size: int = 2001,
     extra_points=None,
 ) -> float:
-    """Max |err_fn| over a uniform grid on [~0, 1], plus any extra points."""
+    """Max |err_fn| over a uniform grid on [~0, 1], plus any extra points.
+
+    ``err_fn`` is called once, on the array of all points; a NaN anywhere
+    makes the result NaN.
+    """
     if grid_size < 2:
         raise ValueError(f"need at least two grid points, got {grid_size}")
     pts = np.linspace(_LINF_LEFT, 1.0, grid_size)
     if extra_points is not None:
         pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
-    return max(abs(err_fn(t)) for t in pts)
+    return float(np.max(np.abs(err_fn(pts))))
 
 
 def _resolve_lam(problem: VideProblem, config: SolverConfig) -> float:
@@ -155,9 +158,8 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     start = perf_counter()
     grid = build_grid(n, config.alpha, config.beta, lam)
     scaled = scale_to_unit(problem)
-    npts = config.quad_points if config.quad_points is not None else n + 1
-    quad_mu = to_fractional(gauss_jacobi(npts, -problem.mu, 1.0 / lam - 1.0), lam)
-    quad_hat = to_fractional(gauss_jacobi(npts, 0.0, 1.0 / lam - 1.0), lam)
+    quad_mu = to_fractional(gauss_jacobi(n + 1, -problem.mu, 1.0 / lam - 1.0), lam)
+    quad_hat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
     sol = solve(assemble(scaled, grid, quad_mu, quad_hat))
     runtime_ms = (perf_counter() - start) * 1e3
     return grid, sol, runtime_ms
@@ -168,20 +170,18 @@ def _error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow
     if pair is not None:
         phi_fn, phistar_fn = pair
     else:
-        phi_fn = lambda th: reference(th)[0]  # noqa: E731
-        phistar_fn = lambda th: reference(th)[1]  # noqa: E731
+        phi_fn = partial(interpolate, reference.grid, reference.u)
+        phistar_fn = partial(interpolate, reference.grid, reference.u_star)
 
     e = lambda th: phi_fn(th) - interpolate(grid, sol.u, th)  # noqa: E731
     estar = lambda th: phistar_fn(th) - interpolate(grid, sol.u_star, th)  # noqa: E731
 
     m = config.l2_points if config.l2_points is not None else max(4 * n, 200)
-    l2a = config.l2_alpha if config.l2_alpha is not None else config.alpha
-    l2b = config.l2_beta if config.l2_beta is not None else config.beta
     return SweepRow(
         n=n,
-        l2_e=weighted_l2_error(e, l2a, l2b, m),
+        l2_e=weighted_l2_error(e, config.alpha, config.beta, m),
         linf_e=linf_error(e, config.linf_points, extra_points=grid.points),
-        l2_estar=weighted_l2_error(estar, l2a, l2b, m),
+        l2_estar=weighted_l2_error(estar, config.alpha, config.beta, m),
         linf_estar=linf_error(estar, config.linf_points, extra_points=grid.points),
         runtime_ms=runtime_ms,
     )
@@ -191,11 +191,13 @@ def convergence_sweep(
     problem: VideProblem,
     config: SolverConfig,
     n_list,
-    reference: Optional[Callable[[float], tuple[float, float]]] = None,
+    reference: Optional[ReferenceSolution] = None,
 ) -> ConvergenceTable:
     """One solve per N, with errors against the exact solution or a reference.
 
-    A failing solve marks its row instead of aborting the sweep.
+    A solve that fails with one of the solver's own errors (a rule that does
+    not converge, a singular system, disagreeing forcing oracles) marks its
+    row instead of aborting the sweep; any other exception propagates.
     """
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -204,12 +206,11 @@ def convergence_sweep(
         if reference is None:
             raise ValueError(
                 f"problem {problem.label or '<anonymous>'} has no exact solution; "
-                "supply a reference evaluator"
+                "supply a reference solution"
             )
-        ref_n = getattr(reference, "n", None)
-        if ref_n is not None and ref_n <= max(n_list):
+        if reference.n <= max(n_list):
             raise ValueError(
-                f"reference order {ref_n} must exceed the largest sweep order {max(n_list)}"
+                f"reference order {reference.n} must exceed the largest sweep order {max(n_list)}"
             )
     table = ConvergenceTable(
         meta={
@@ -226,7 +227,7 @@ def convergence_sweep(
         try:
             grid, sol, runtime_ms = solve_once(problem, n, config)
             row = _error_row(problem, grid, sol, config, reference, n, runtime_ms)
-        except (QuadratureError, SingularSystemError, OracleDisagreement, ValueError) as exc:
+        except (QuadratureError, SingularSystemError, OracleDisagreement) as exc:
             row = SweepRow(
                 n=n,
                 l2_e=math.nan,
@@ -286,6 +287,6 @@ def fit_rates(table: ConvergenceTable) -> RateReport:
 
 
 def reference_solution(problem: VideProblem, config: SolverConfig, n_ref: int) -> ReferenceSolution:
-    """High-N solve wrapped as a theta -> (phi, phi*) evaluator."""
+    """High-N solve whose interpolant stands in for the exact solution."""
     grid, sol, _ = solve_once(problem, n_ref, config)
     return ReferenceSolution(grid=grid, u=sol.u, u_star=sol.u_star, n=n_ref)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .analysis import (
     ConvergenceTable,
     SolverConfig,
@@ -49,14 +51,15 @@ CSV_HEADER = "N,l2_e,linf_e,l2_estar,linf_estar,runtime_ms"
 MODES = ("solve", "sweep", "compare")
 FORCINGS = ("corrected", "printed")
 
-# named coefficients for inline (problem = custom) definitions
+# named coefficients for inline (problem = custom) definitions; like every
+# problem callable they take and return numpy arrays
 _COEFFS = {
     "zero": lambda t: 0.0,
     "one": lambda t: 1.0,
     "neg_one": lambda t: -1.0,
-    "cos": math.cos,
-    "exp_neg": lambda t: math.exp(-t),
-    "sin2": lambda t: math.sin(2.0 * t),
+    "cos": np.cos,
+    "exp_neg": lambda t: np.exp(-t),
+    "sin2": lambda t: np.sin(2.0 * t),
 }
 _KERNELS = {
     "zero": lambda t, s: 0.0,

@@ -26,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .muntz_basis import CollocationGrid, basis_matrix_z, interpolate
-from .problem import ScaledProblem
+from .muntz_basis import CollocationGrid, basis_matrix_z
+from .problem import ScaledProblem, sample
 from .quadrature import FractionalRule, singular_ratio
 
 __all__ = [
     "SingularSystemError",
     "SystemMatrices",
     "DiscreteSolution",
-    "kernel_tilde",
     "assemble",
     "solve",
-    "eval_solution",
 ]
 
 _COND_LIMIT = 1e14
@@ -72,22 +70,6 @@ class DiscreteSolution:
     grid: CollocationGrid
 
 
-def kernel_tilde(scaled: ScaledProblem, theta_i: float, xi: float, which: int, lam: float) -> float:
-    """Transformed kernel value at quadrature abscissa xi in (0, 1).
-
-    (1/lam) theta_i^(1-mu) ((1 - xi^(1/lam)) / (1 - xi))^(-mu) Kbar(...),
-    with the endpoint-singular ratio evaluated through ``singular_ratio``.
-    """
-    mu = scaled.mu
-    eta = theta_i * xi ** (1.0 / lam)
-    base = singular_ratio(xi, lam, mu) * theta_i ** (1.0 - mu) / lam
-    if which == 1:
-        return base * scaled.kbar1(theta_i, eta)
-    if which == 2:
-        return base * scaled.kbar2(theta_i, scaled.eps * eta)
-    raise ValueError(f"which must be 1 or 2, got {which}")
-
-
 def _check_rule(name: str, rule: FractionalRule, alpha: float, beta: float, lam: float) -> None:
     ok = (
         math.isclose(rule.lam, lam, rel_tol=0.0, abs_tol=1e-14)
@@ -112,6 +94,8 @@ def assemble(
     The rules enter in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
+    Each kernel is called once per row, on the whole eta vector, and each
+    coefficient once, on all grid points.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")
@@ -134,17 +118,17 @@ def assemble(
     for i in range(n1):
         ti, zi = theta[i], z[i]
         eta = ti * root_mu
+        # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
+        # endpoint-stable singular ratio, times the rule weight
         fac = (ti ** (1.0 - mu) / lam) * ratio * om
-        k1 = np.array([scaled.kbar1(ti, e) for e in eta])
-        k2 = np.array([scaled.kbar2(ti, eps * e) for e in eta])
-        C[i] = (fac * k1) @ basis_matrix_z(grid, zi * xi)
-        D[i] = (fac * k2) @ basis_matrix_z(grid, eps_lam * zi * xi)
+        C[i] = (fac * scaled.kbar1(ti, eta)) @ basis_matrix_z(grid, zi * xi)
+        D[i] = (fac * scaled.kbar2(ti, eps * eta)) @ basis_matrix_z(grid, eps_lam * zi * xi)
         E[i] = (ti / lam) * (omh @ basis_matrix_z(grid, zi * xih))
         H[i] = (eps * ti / lam) * (omh @ basis_matrix_z(grid, eps_lam * zi * xih))
 
-    A = np.diag([scaled.a_t(t) for t in theta])
-    B = np.diag([scaled.b_t(t) for t in theta])
-    fvec = np.array([scaled.f_t(t) for t in theta])
+    A = np.diag(sample(scaled.a_t, theta))
+    B = np.diag(sample(scaled.b_t, theta))
+    fvec = np.array(sample(scaled.f_t, theta))
     u0 = np.full(n1, scaled.phi0)
     return SystemMatrices(A=A, B=B, C=C, D=D, E=E, H=H, fvec=fvec, u0=u0, grid=grid)
 
@@ -169,11 +153,3 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
     return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid)
-
-
-def eval_solution(grid: CollocationGrid, sol: DiscreteSolution, theta: float) -> tuple[float, float]:
-    """(phi_N(theta), phi_N^*(theta)) by interpolating the nodal values."""
-    return (
-        interpolate(grid, sol.u, theta),
-        interpolate(grid, sol.u_star, theta),
-    )

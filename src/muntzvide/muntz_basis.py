@@ -22,8 +22,6 @@ from .quadrature import gauss_jacobi, to_fractional
 __all__ = [
     "CollocationGrid",
     "build_grid",
-    "basis_eval",
-    "basis_eval_all",
     "basis_matrix_z",
     "interpolate",
 ]
@@ -44,11 +42,11 @@ class CollocationGrid:
     bary_weights: np.ndarray
 
 
-def build_grid(n: int, alpha: float, beta: float, lam: float, polish: bool = True) -> CollocationGrid:
+def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
     """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    frac = to_fractional(gauss_jacobi(n + 1, alpha, beta, polish=polish), lam)
+    frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
     z = frac.z_nodes
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
@@ -84,23 +82,16 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     return out
 
 
-def basis_eval_all(grid: CollocationGrid, theta: float) -> np.ndarray:
-    """Vector (F_0(theta), ..., F_N(theta))."""
-    return basis_matrix_z(grid, float(theta) ** grid.lam)[0]
+def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
+    """Evaluate the interpolant through (theta_j, values_j) at every theta.
 
-
-def basis_eval(grid: CollocationGrid, j: int, theta: float) -> float:
-    """F_j(theta); exactly 0 or 1 when theta coincides with a grid point."""
-    if not 0 <= j <= grid.n:
-        raise ValueError(f"basis index {j} outside 0..{grid.n}")
-    return float(basis_eval_all(grid, theta)[j])
-
-
-def interpolate(grid: CollocationGrid, values, theta: float) -> float:
-    """Evaluate the interpolant through (theta_j, values_j) at theta."""
+    ``theta`` may have any shape; the result has the same shape.  At a grid
+    point the value is exactly the nodal value.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n + 1,):
         raise ValueError(
             f"expected {grid.n + 1} nodal values, got shape {values.shape}"
         )
-    return float(basis_eval_all(grid, theta) @ values)
+    theta = np.asarray(theta, dtype=float)
+    return (basis_matrix_z(grid, theta.ravel() ** grid.lam) @ values).reshape(theta.shape)

@@ -20,6 +20,12 @@ other on every call.  (Closed-form forcings for these benchmarks circulate
 with sign/typo variants; the printed variants are kept available under
 ``forcing="printed"`` for comparison runs, but the manufactured forcing is
 authoritative.)
+
+Every problem callable takes numpy arrays and broadcasts: a1, b1, f1, exact
+and exact_deriv map an array of times to an array of the same shape, and k1,
+k2 broadcast their two arguments against each other.  A callable may return
+a constant (``lambda t: 0.0``); ``sample`` broadcasts it to the argument's
+shape for callers that need a full array.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "OracleDisagreement",
     "scale_to_unit",
     "default_lambda",
+    "sample",
     "singular_integral",
     "manufactured_forcing",
     "register_examples",
@@ -50,12 +57,17 @@ __all__ = [
     "EXAMPLE_KEYS",
 ]
 
-ScalarFn = Callable[[float], float]
-KernelFn = Callable[[float, float], float]
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class OracleDisagreement(RuntimeError):
     """The two independent singular-integral oracles disagree."""
+
+
+def sample(fn: ArrayFn, x) -> np.ndarray:
+    """fn(x) as a float array of x's shape, broadcasting a constant return."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +79,17 @@ class VideProblem:
     recommended basis exponent for this problem (see ``default_lambda``).
     """
 
-    a1: ScalarFn
-    b1: ScalarFn
-    f1: Optional[ScalarFn]
+    a1: ArrayFn
+    b1: ArrayFn
+    f1: Optional[ArrayFn]
     k1: KernelFn
     k2: KernelFn
     mu: float
     eps: float
     T: float
     y0: float
-    exact: Optional[ScalarFn] = None
-    exact_deriv: Optional[ScalarFn] = None
+    exact: Optional[ArrayFn] = None
+    exact_deriv: Optional[ArrayFn] = None
     lam: Optional[float] = None
     label: str = ""
 
@@ -101,9 +113,9 @@ class ScaledProblem:
     kbar2 is always called with tau = eps*eta; phi0 is the initial value.
     """
 
-    a_t: ScalarFn
-    b_t: ScalarFn
-    f_t: Optional[ScalarFn]
+    a_t: ArrayFn
+    b_t: ArrayFn
+    f_t: Optional[ArrayFn]
     kbar1: KernelFn
     kbar2: KernelFn
     mu: float
@@ -161,15 +173,16 @@ _GL01_X = 0.5 * (_GL_X + 1.0)
 _GL01_W = 0.5 * _GL_W
 
 
-def singular_integral(t: float, g: ScalarFn, mu: float, levels: int = 50) -> float:
+def singular_integral(t: float, g: ArrayFn, mu: float, levels: int = 50) -> float:
     """int_0^t (t-s)^(-mu) g(s) ds by dyadic panels toward both endpoints.
 
-    The kernel is singular at s = t and g may carry a fractional power at
-    s = 0, so the panels are refined geometrically toward both ends; on each
-    dyadic panel the integrand is analytic and 12-point Gauss-Legendre is
-    accurate to machine precision.  The leftover sliver at s = t is
-    integrated with g frozen at t (the kernel's antiderivative is explicit);
-    the sliver at s = 0 is a midpoint term of width t*2^-(levels+1).
+    ``g`` is called on the 12 nodes of one panel at a time.  The kernel is
+    singular at s = t and g may carry a fractional power at s = 0, so the
+    panels are refined geometrically toward both ends; on each dyadic panel
+    the integrand is analytic and 12-point Gauss-Legendre is accurate to
+    machine precision.  The leftover sliver at s = t is integrated with g
+    frozen at t (the kernel's antiderivative is explicit); the sliver at
+    s = 0 is a midpoint term of width t*2^-(levels+1).
     """
     if t <= 0.0:
         return 0.0
@@ -178,23 +191,26 @@ def singular_integral(t: float, g: ScalarFn, mu: float, levels: int = 50) -> flo
     for _ in range(levels):
         lo = 0.5 * hi
         width = hi - lo
-        # singular end: d = t - s in [lo, hi]
+        # the same panel nodes serve d = t - s at the singular end and s at
+        # the data end
         d = lo + width * _GL01_X
-        vals = sum(w * dk**-mu * g(t - dk) for w, dk in zip(_GL01_W, d))
-        # data end: s in [lo, hi]
-        s = lo + width * _GL01_X
-        vals += sum(w * (t - sk) ** -mu * g(sk) for w, sk in zip(_GL01_W, s))
+        vals = _GL01_W @ (d**-mu * g(t - d))
+        vals += _GL01_W @ ((t - d) ** -mu * g(d))
         total += width * vals
         hi = lo
     total += g(t) * hi ** (1.0 - mu) / (1.0 - mu)
     total += g(0.5 * hi) * hi * (t - 0.5 * hi) ** -mu
-    return total
+    return float(total)
+
+
+# size of the mapped oracle's Gauss-Jacobi rule
+_ORACLE_POINTS = 200
 
 
 @functools.lru_cache(maxsize=32)
-def _mapped_oracle_rule(mu: float, lam: float, npts: int):
+def _mapped_oracle_rule(mu: float, lam: float):
     """Gauss-Jacobi data for the substitution s = t * xi^(1/lam)."""
-    rule = to_fractional(gauss_jacobi(npts, -mu, 1.0 / lam - 1.0), lam)
+    rule = to_fractional(gauss_jacobi(_ORACLE_POINTS, -mu, 1.0 / lam - 1.0), lam)
     ratio = singular_ratio(rule.z_nodes, lam, mu)
     return rule, ratio
 
@@ -203,29 +219,28 @@ def _singular_integral_mapped(t, g, mu, rule, ratio) -> float:
     """Same integral via s = t xi^(1/lam); the rule absorbs the singular weight."""
     if t <= 0.0:
         return 0.0
-    vals = np.array([g(t * sk) for sk in rule.nodes])
+    vals = sample(g, t * rule.nodes)
     return t ** (1.0 - mu) / rule.lam * float(np.dot(rule.weights * ratio, vals))
 
 
 def manufactured_forcing(
-    y: ScalarFn,
-    y_prime: ScalarFn,
+    y: ArrayFn,
+    y_prime: ArrayFn,
     skeleton: VideProblem,
-    quad_points: int = 200,
     check_tol: float = 1e-9,
-) -> ScalarFn:
+) -> ArrayFn:
     """Forcing f1 that makes ``y`` the exact solution of ``skeleton``.
 
     Rearranges the equation: f1 = y' - a1 y - b1 y(eps t) - (K1 y) - (K2 y).
-    Each weakly singular integral is evaluated twice, by the mapped
-    Gauss-Jacobi rule and by the dyadic-panel rule; a disagreement beyond
-    ``check_tol`` raises ``OracleDisagreement``.
+    At every t of the argument array each weakly singular integral is
+    evaluated twice, by the mapped Gauss-Jacobi rule and by the dyadic-panel
+    rule; a disagreement beyond ``check_tol`` raises ``OracleDisagreement``.
     """
     mu, eps = skeleton.mu, skeleton.eps
     lam_hat = skeleton.lam if skeleton.lam is not None else default_lambda(mu)
-    rule, ratio = _mapped_oracle_rule(mu, lam_hat, quad_points)
+    rule, ratio = _mapped_oracle_rule(mu, lam_hat)
 
-    def f1(t: float) -> float:
+    def integrals(t: float) -> tuple[float, float]:
         def g1(s):
             return skeleton.k1(t, s) * y(s)
 
@@ -241,6 +256,14 @@ def manufactured_forcing(
                 f"singular-integral oracles disagree at t={t}: "
                 f"|{i1} - {i1_alt}| and |{i2} - {i2_alt}| vs tol {check_tol}"
             )
+        return i1, i2
+
+    def f1(t):
+        t = np.asarray(t, dtype=float)
+        i1 = np.empty(t.shape)
+        i2 = np.empty(t.shape)
+        for idx, tk in np.ndenumerate(t):
+            i1[idx], i2[idx] = integrals(float(tk))
         return (
             y_prime(t)
             - skeleton.a1(t) * y(t)
@@ -254,8 +277,8 @@ def manufactured_forcing(
 
 def scaled_residual(
     scaled: ScaledProblem,
-    phi: ScalarFn,
-    phi_prime: ScalarFn,
+    phi: ArrayFn,
+    phi_prime: ArrayFn,
     theta: float,
     levels: int = 50,
 ) -> float:
@@ -290,7 +313,7 @@ def scaled_residual(
 EXAMPLE_KEYS = ("5.1", "5.2", "5.3", "5.4")
 
 
-def _with_forcing(skeleton: VideProblem, printed: Optional[ScalarFn], forcing: str) -> VideProblem:
+def _with_forcing(skeleton: VideProblem, printed: Optional[ArrayFn], forcing: str) -> VideProblem:
     if forcing == "corrected":
         return replace(
             skeleton,
@@ -306,17 +329,17 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
     om = 1.0 - mu
 
     def y(t):
-        return t * math.exp(-(t**om))
+        return t * np.exp(-(t**om))
 
     def yp(t):
-        return math.exp(-(t**om)) * (1.0 - om * t**om)
+        return np.exp(-(t**om)) * (1.0 - om * t**om)
 
     skeleton = VideProblem(
         a1=lambda t: -1.0,
         b1=lambda t: 1.0,
         f1=None,
-        k1=lambda t, s: -math.exp(s**om),
-        k2=lambda t, s: math.exp(s**om),
+        k1=lambda t, s: -np.exp(s**om),
+        k2=lambda t, s: np.exp(s**om),
         mu=mu,
         eps=eps,
         T=T,
@@ -333,9 +356,9 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
         # circulated closed form; the Beta-term factor reads (1 + e^(2-mu))
         # where the manufactured forcing gives (1 - eps^(2-mu))
         return (
-            (1.0 - om * t**om + t) * math.exp(-(t**om))
+            (1.0 - om * t**om + t) * np.exp(-(t**om))
             + (1.0 + math.e ** (2.0 - mu)) * b * t ** (2.0 - mu)
-            - (eps * t) * math.exp(-((eps * t) ** om))
+            - (eps * t) * np.exp(-((eps * t) ** om))
         )
 
     return _with_forcing(skeleton, printed, forcing)
@@ -345,17 +368,17 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
     """Exponential kernels, exact solution y(t) = t^(2-mu) exp(-t)."""
 
     def y(t):
-        return t ** (2.0 - mu) * math.exp(-t)
+        return t ** (2.0 - mu) * np.exp(-t)
 
     def yp(t):
-        return t ** (1.0 - mu) * math.exp(-t) * (2.0 - mu - t)
+        return t ** (1.0 - mu) * np.exp(-t) * (2.0 - mu - t)
 
     skeleton = VideProblem(
         a1=lambda t: -1.0,
         b1=lambda t: 1.0,
         f1=None,
-        k1=lambda t, s: -math.exp(s),
-        k2=lambda t, s: math.exp(s),
+        k1=lambda t, s: -np.exp(s),
+        k2=lambda t, s: np.exp(s),
         mu=mu,
         eps=eps,
         T=T,
@@ -370,9 +393,9 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
 
     def printed(t):
         return (
-            (2.0 - mu) * t ** (1.0 - mu) * math.exp(-t)
+            (2.0 - mu) * t ** (1.0 - mu) * np.exp(-t)
             + b * t ** (3.0 - 2.0 * mu) * (1.0 + math.e ** (3.0 - 2.0 * mu))
-            - (eps * t) ** (2.0 - mu) * math.exp(-eps * t)
+            - (eps * t) ** (2.0 - mu) * np.exp(-eps * t)
         )
 
     return _with_forcing(skeleton, printed, forcing)
@@ -384,10 +407,10 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
     w2 = math.sqrt(2.0)
 
     def y(t):
-        return (t ** (1.0 + w1) + t ** (1.0 + w2)) * math.exp(-t)
+        return (t ** (1.0 + w1) + t ** (1.0 + w2)) * np.exp(-t)
 
     def yp(t):
-        return math.exp(-t) * (
+        return np.exp(-t) * (
             t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t)
         )
 
@@ -395,8 +418,8 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
         a1=lambda t: -1.0,
         b1=lambda t: 1.0,
         f1=None,
-        k1=lambda t, s: -math.exp(s),
-        k2=lambda t, s: math.exp(s),
+        k1=lambda t, s: -np.exp(s),
+        k2=lambda t, s: np.exp(s),
         mu=mu,
         eps=eps,
         T=T,
@@ -412,9 +435,9 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
 
     def printed(t):
         return (
-            math.exp(-t) * (t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t))
-            + (t ** (1.0 + w1) + t ** (1.0 + w2)) * math.exp(-t)
-            - ((eps * t) ** (1.0 + w1) + (eps * t) ** (1.0 + w2)) * math.exp(-eps * t)
+            np.exp(-t) * (t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t))
+            + (t ** (1.0 + w1) + t ** (1.0 + w2)) * np.exp(-t)
+            - ((eps * t) ** (1.0 + w1) + (eps * t) ** (1.0 + w2)) * np.exp(-eps * t)
             - b1_ * t ** (2.0 - mu + w1) * (math.e ** (2.0 - mu + w1) + 1.0)
             - b2_ * t ** (2.0 - mu + w2) * (math.e ** (2.0 - mu + w2) + 1.0)
         )
@@ -425,11 +448,11 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
 def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 3.0, forcing: str = "corrected") -> VideProblem:
     """No closed-form solution; compared against a high-order reference run."""
     return VideProblem(
-        a1=math.cos,
-        b1=lambda t: math.exp(-t),
-        f1=lambda t: math.sin(2.0 * t),
-        k1=lambda t, s: -(1.0 + math.sin(t * s)),
-        k2=lambda t, s: -(1.0 + math.cos(t * s)),
+        a1=np.cos,
+        b1=lambda t: np.exp(-t),
+        f1=lambda t: np.sin(2.0 * t),
+        k1=lambda t, s: -(1.0 + np.sin(t * s)),
+        k2=lambda t, s: -(1.0 + np.cos(t * s)),
         mu=mu,
         eps=eps,
         T=T,

@@ -1,4 +1,4 @@
-"""Log-gamma and Beta functions.
+"""The Beta function.
 
 Every Gauss weight, Muntz-monomial moment and closed-form forcing term
 downstream is a ratio of Gamma values, so the accuracy here bounds the
@@ -7,14 +7,7 @@ exactness checks of the whole rule hierarchy.
 
 import math
 
-__all__ = ["ln_gamma", "beta"]
-
-
-def ln_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+__all__ = ["beta"]
 
 
 def beta(a: float, b: float) -> float:

@@ -13,6 +13,7 @@ from muntzvide import (
     convergence_sweep,
     exact_phi_pair,
     fit_rates,
+    interpolate,
     linf_error,
     make_example,
     reference_solution,
@@ -62,9 +63,9 @@ def test_weighted_l2_linear_error_beta_value():
 
 
 def test_weighted_l2_scaling_and_absolute_value():
-    err = lambda t: math.sin(3.0 * t) - 0.4  # noqa: E731
+    err = lambda t: np.sin(3.0 * t) - 0.4  # noqa: E731
     base = weighted_l2_error(err, -0.5, 0.0, 200)
-    assert weighted_l2_error(lambda t: abs(err(t)), -0.5, 0.0, 200) == pytest.approx(
+    assert weighted_l2_error(lambda t: np.abs(err(t)), -0.5, 0.0, 200) == pytest.approx(
         base, rel=1e-12
     )
     assert weighted_l2_error(lambda t: -3.5 * err(t), -0.5, 0.0, 200) == pytest.approx(
@@ -87,9 +88,28 @@ def test_linf_zero_and_parabola():
 def test_linf_includes_extra_points():
     # spike exactly on an off-grid point is only seen through extra_points
     spike = 0.123456789
-    err = lambda t: 1.0 if t == spike else 0.0  # noqa: E731
+    err = lambda t: np.where(t == spike, 1.0, 0.0)  # noqa: E731
     assert linf_error(err, 11) == 0.0
     assert linf_error(err, 11, extra_points=[spike]) == 1.0
+
+
+def test_norms_call_err_fn_once_on_all_points():
+    calls = []
+
+    def err(t):
+        calls.append(np.shape(t))
+        return t
+
+    weighted_l2_error(err, -0.5, -0.5, 64)
+    linf_error(err, 101, extra_points=[0.123])
+    assert calls == [(64,), (102,)]
+
+
+def test_linf_reports_interior_nan():
+    # a NaN that is not the first value must not be dropped by the max
+    err = lambda t: np.where((0.4 < t) & (t < 0.6), np.nan, 0.1)  # noqa: E731
+    assert math.isnan(linf_error(err, 11))
+    assert math.isnan(weighted_l2_error(err, 0.0, 0.0, 11))
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -136,6 +156,20 @@ def test_sweep_51_decays_at_least_ten_x_per_step():
     errs = [r.linf_e for r in table.rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a / 10.0
+
+
+def test_sweep_propagates_programming_errors():
+    # a stale scalar-only coefficient cannot take the array of grid points;
+    # the sweep must raise instead of recording a failed row
+    p = constant_problem()
+    stale = VideProblem(
+        a1=lambda t: 1.0 if t > 0.5 else 0.0,
+        b1=p.b1, f1=p.f1, k1=p.k1, k2=p.k2,
+        mu=p.mu, eps=p.eps, T=p.T, y0=p.y0,
+        exact=p.exact, exact_deriv=p.exact_deriv,
+    )
+    with pytest.raises(ValueError, match="truth value"):
+        convergence_sweep(stale, SolverConfig(), [4])
 
 
 def test_sweep_l2_quadrature_converged():
@@ -188,17 +222,20 @@ def test_fit_rates_insufficient_data():
 def test_reference_against_itself_is_zero():
     p = make_example("5.4")
     ref = reference_solution(p, SolverConfig(), 12)
-    for th in (0.1, 0.5, 0.9):
-        phi, phi_star = ref(th)
-        assert phi - ref(th)[0] == 0.0
-        assert phi_star - ref(th)[1] == 0.0
+    thetas = np.array([0.1, 0.5, 0.9])
+    for values in (ref.u, ref.u_star):
+        first = interpolate(ref.grid, values, thetas)
+        assert np.array_equal(first - interpolate(ref.grid, values, thetas), np.zeros(3))
+        # on its own grid the reference reproduces its nodal values exactly
+        assert np.array_equal(interpolate(ref.grid, values, ref.grid.points), values)
 
 
 def test_reference_matches_closed_form_for_51():
     p = make_example("5.1")
     ref = reference_solution(p, SolverConfig(), 16)
     phi, _ = exact_phi_pair(p)
-    err = max(abs(ref(th)[0] - phi(th)) for th in np.linspace(1e-6, 1.0, 101))
+    thetas = np.linspace(1e-6, 1.0, 101)
+    err = float(np.max(np.abs(interpolate(ref.grid, ref.u, thetas) - phi(thetas))))
     assert err <= 1e-10
 
 

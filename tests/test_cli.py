@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from muntzvide.analysis import ConvergenceTable, SweepRow
 from muntzvide.cli import (
+    _COEFFS,
+    _KERNELS,
     CSV_HEADER,
     ConfigError,
     RunSpec,
@@ -81,6 +84,23 @@ def test_parse_custom_problem_keys():
         parse_config("mode = solve\nproblem = 5.1\nN = 6\na1 = one\n")
     with pytest.raises(ConfigError, match="mu"):
         parse_config("mode = solve\nproblem = custom\nN = 6\n")
+
+
+@pytest.mark.parametrize("name", sorted(_COEFFS))
+def test_named_coefficients_are_array_native(name):
+    fn = _COEFFS[name]
+    t = np.array([0.0, 0.13, 0.37, 0.71, 1.0])
+    want = np.array([fn(float(x)) for x in t])
+    np.testing.assert_allclose(np.broadcast_to(fn(t), t.shape), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_named_kernels_are_array_native(name):
+    fn = _KERNELS[name]
+    t = np.array([0.0, 0.13, 0.37, 0.71, 1.0])
+    s = np.array([0.0, 0.05, 0.2, 0.5, 0.9])
+    want = np.array([fn(float(a), float(b)) for a, b in zip(t, s)])
+    np.testing.assert_allclose(np.broadcast_to(fn(t, s), t.shape), want, rtol=1e-14, atol=0)
 
 
 def test_render_round_trip():

@@ -4,15 +4,14 @@ import pytest
 from muntzvide import (
     VideProblem,
     assemble,
+    beta,
     build_grid,
-    eval_solution,
     exact_phi_pair,
     gauss_jacobi,
-    kernel_tilde,
+    interpolate,
     make_example,
     scale_to_unit,
     singular_integral,
-    singular_ratio,
     solve,
     to_fractional,
 )
@@ -49,51 +48,18 @@ def assembled(problem, n, lam, alpha=-0.5, beta_=-0.5, npts=None):
 
 
 def test_kernel_tilde_lambda_one_cancels_ratio():
-    p = zero_problem()
-    sp = scale_to_unit(
-        VideProblem(
-            a1=p.a1, b1=p.b1, f1=p.f1, k1=lambda t, s: 2.0 + s, k2=p.k2,
-            mu=0.5, eps=0.5, T=1.0, y0=0.0,
-        )
+    # with lam = 1 the singular ratio is 1 and the (N+1)-point rule is exact for
+    # the linear kernel 2 + s: sum_j C_ij = int_0^theta (theta-eta)^(-mu) (2+eta)
+    mu = 0.5
+    p = VideProblem(
+        a1=lambda t: 0.0, b1=lambda t: 0.0, f1=lambda t: 0.0,
+        k1=lambda t, s: 2.0 + s, k2=lambda t, s: 0.0,
+        mu=mu, eps=0.5, T=1.0, y0=0.0,
     )
-    for ti, xi in ((0.3, 0.2), (0.8, 0.77)):
-        want = ti**0.5 * (2.0 + ti * xi)
-        assert kernel_tilde(sp, ti, xi, 1, 1.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_kernel_tilde_benign_point_matches_naive_formula():
-    # lam=1/2, mu=1/2, theta=1/4, xi=0.36, Kbar1 = 1:
-    # (1/lam) theta^(1-mu) ((1 - xi^2)/(1 - xi))^(-1/2) = 2 * 0.5 * (1.36)^(-1/2)
-    # = 0.857492925712544..., frozen from a 50-digit evaluation
-    p = zero_problem()
-    sp = scale_to_unit(
-        VideProblem(
-            a1=p.a1, b1=p.b1, f1=p.f1, k1=lambda t, s: 1.0, k2=p.k2,
-            mu=0.5, eps=0.5, T=1.0, y0=0.0,
-        )
-    )
-    naive = 2.0 * 0.25**0.5 * ((1.0 - 0.36 ** 2.0) / (1.0 - 0.36)) ** -0.5
-    assert naive == pytest.approx(0.85749292571254418689, rel=1e-14)
-    assert kernel_tilde(sp, 0.25, 0.36, 1, 0.5) == pytest.approx(naive, rel=1e-13)
-
-
-def test_kernel_tilde_endpoint_stability():
-    p = make_example("5.1")
-    sp = scale_to_unit(p)
-    lam, mu = 0.5, 0.5
-    vals = [kernel_tilde(sp, 0.5, 1.0 - 10.0**-k, 1, lam) for k in range(4, 15)]
-    assert all(np.isfinite(vals))
-    limit = singular_ratio(1.0 - 1e-14, lam, mu) / lam * 0.5 ** (1.0 - mu)
-    # converges to the lam^mu-limit value of the ratio times the kernel
-    assert vals[-1] == pytest.approx(limit * sp.kbar1(0.5, 0.5), rel=1e-9)
-    drift = np.abs(np.diff(vals))
-    assert float(drift[-1]) < 1e-6
-
-
-def test_kernel_tilde_which_validation():
-    sp = scale_to_unit(zero_problem())
-    with pytest.raises(ValueError):
-        kernel_tilde(sp, 0.5, 0.5, 3, 0.5)
+    grid, sysm = assembled(p, 4, 1.0)
+    th = grid.points
+    want = 2.0 * th ** (1.0 - mu) / (1.0 - mu) + beta(2.0, 1.0 - mu) * th ** (2.0 - mu)
+    assert sysm.C.sum(axis=1) == pytest.approx(want, rel=1e-13)
 
 
 # --- assembly -------------------------------------------------------------------
@@ -180,12 +146,12 @@ def test_brute_force_kernel_entries_small_n():
     n, lam = 3, 1.0
     grid, sysm = assembled(p, n, lam)
     sp = scale_to_unit(p)
-    from muntzvide.muntz_basis import basis_eval
 
     for i, ti in enumerate(grid.points):
         for j in range(n + 1):
+            unit = np.eye(n + 1)[j]
             want = singular_integral(
-                ti, lambda eta: sp.kbar1(ti, eta) * basis_eval(grid, j, eta), p.mu
+                ti, lambda eta: sp.kbar1(ti, eta) * interpolate(grid, unit, eta), p.mu
             )
             assert sysm.C[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -267,20 +233,17 @@ def test_eval_solution_at_nodes_and_constants():
     c = 1.75
     grid, sysm = assembled(zero_problem(y0=c), 5, 0.5)
     sol = solve(sysm)
-    for i, ti in enumerate(grid.points):
-        phi, phi_star = eval_solution(grid, sol, ti)
-        assert phi == sol.u[i]
-        assert phi_star == sol.u_star[i]
-    for th in (0.0, 0.33, 1.0):
-        phi, phi_star = eval_solution(grid, sol, th)
-        assert phi == pytest.approx(c, abs=1e-13)
-        assert phi_star == pytest.approx(0.0, abs=1e-13)
+    assert np.array_equal(interpolate(grid, sol.u, grid.points), sol.u)
+    assert np.array_equal(interpolate(grid, sol.u_star, grid.points), sol.u_star)
+    thetas = np.array([0.0, 0.33, 1.0])
+    assert interpolate(grid, sol.u, thetas) == pytest.approx(np.full(3, c), abs=1e-13)
+    assert interpolate(grid, sol.u_star, thetas) == pytest.approx(np.zeros(3), abs=1e-13)
 
 
 def test_eval_solution_near_origin_approximates_initial_value():
     p = make_example("5.1")
     grid, sysm = assembled(p, 12, 0.5)
     sol = solve(sysm)
-    phi0, _ = eval_solution(grid, sol, 0.0)
+    phi0 = interpolate(grid, sol.u, 0.0)
     # zero is not a collocation point, so this holds only to scheme accuracy
     assert phi0 == pytest.approx(p.y0, abs=1e-9)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from muntzvide import (
-    basis_eval,
-    basis_eval_all,
     basis_matrix_z,
     build_grid,
     gauss_jacobi,
@@ -61,39 +59,41 @@ def test_build_grid_validates():
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_kronecker_property(lam):
+    # one array call over all grid points gives exact 0/1 values by snapping
     grid = build_grid(6, -0.5, -0.5, lam)
-    for i, theta_i in enumerate(grid.points):
-        vals = basis_eval_all(grid, theta_i)
-        expected = np.zeros(7)
-        expected[i] = 1.0
-        assert vals == pytest.approx(expected, abs=0)  # exact 0/1 by snapping
+    for j in range(7):
+        vals = interpolate(grid, np.eye(7)[j], grid.points)
+        assert vals.shape == grid.points.shape
+        assert vals == pytest.approx(np.eye(7)[j], abs=0)
 
 
 def test_basis_eval_single_matches_all():
+    # the interpolant of a unit vector is one column of the basis table
     grid = build_grid(5, -0.5, -0.5, 0.5)
-    for theta in (0.12, 0.5, 0.93):
-        vals = basis_eval_all(grid, theta)
-        for j in range(6):
-            assert basis_eval(grid, j, theta) == vals[j]
+    thetas = np.array([0.12, 0.5, 0.93])
+    table = basis_matrix_z(grid, thetas**grid.lam)
+    for j in range(6):
+        assert np.array_equal(interpolate(grid, np.eye(6)[j], thetas), table[:, j])
     with pytest.raises(ValueError):
-        basis_eval(grid, 6, 0.5)
+        interpolate(grid, np.ones(7), thetas)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_partition_of_unity(lam):
     grid = build_grid(8, -0.5, -0.5, lam)
-    for theta in (0.0, 0.37, 0.85, 1.0):
-        assert float(basis_eval_all(grid, theta).sum()) == pytest.approx(1.0, abs=1e-13)
+    thetas = np.array([0.0, 0.37, 0.85, 1.0])
+    assert interpolate(grid, np.ones(9), thetas) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_direct_product_cross_check():
     rng = np.random.default_rng(3)
     for lam in LAMBDAS:
         grid = build_grid(8, -0.5, -0.5, lam)
-        for theta in rng.uniform(0.0, 1.0, 5):
-            vals = basis_eval_all(grid, theta)
-            for j in (0, 4, 8):
-                assert vals[j] == pytest.approx(
+        thetas = rng.uniform(0.0, 1.0, 5)
+        for j in (0, 4, 8):
+            vals = interpolate(grid, np.eye(9)[j], thetas)
+            for theta, val in zip(thetas, vals):
+                assert val == pytest.approx(
                     direct_product_basis(grid, j, theta), abs=1e-12
                 )
 
@@ -112,13 +112,15 @@ def test_interpolation_exact_on_muntz_monomials(n, lam):
 
 def test_interpolate_constants_and_units():
     grid = build_grid(6, -0.5, -0.5, 0.5)
-    for theta in (0.1, 0.44, 0.9):
-        assert interpolate(grid, np.full(7, 3.25), theta) == pytest.approx(3.25, abs=1e-13)
-    e2 = np.zeros(7)
-    e2[2] = 1.0
-    for theta in (0.2, 0.6):
-        assert interpolate(grid, e2, theta) == pytest.approx(
-            basis_eval(grid, 2, theta), abs=0
+    thetas = np.array([[0.1, 0.44], [0.9, 0.2]])
+    vals = interpolate(grid, np.full(7, 3.25), thetas)
+    assert vals.shape == (2, 2)
+    assert vals == pytest.approx(np.full((2, 2), 3.25), abs=1e-13)
+    # a scalar theta gives a 0-d array with the same value as the array call
+    for theta in thetas.ravel():
+        assert interpolate(grid, np.eye(7)[2], theta).shape == ()
+        assert interpolate(grid, np.eye(7)[2], theta) == pytest.approx(
+            basis_matrix_z(grid, theta**grid.lam)[0, 2], abs=1e-15
         )
 
 
@@ -136,10 +138,10 @@ def test_change_of_variable_identity():
     grid_one = build_grid(9, -0.5, -0.5, 1.0)
     rng = np.random.default_rng(11)
     values = rng.standard_normal(10)
-    for theta in rng.uniform(0.0, 1.0, 20):
-        a = interpolate(grid_lam, values, theta)
-        b = interpolate(grid_one, values, theta**lam)
-        assert a == pytest.approx(b, abs=1e-12)
+    thetas = rng.uniform(0.0, 1.0, 20)
+    a = interpolate(grid_lam, values, thetas)
+    b = interpolate(grid_one, values, thetas**lam)
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_lebesgue_constant_log_growth():
@@ -155,6 +157,7 @@ def test_lebesgue_constant_log_growth():
 def test_snapping_tolerance_near_grid_point():
     grid = build_grid(5, -0.5, -0.5, 0.5)
     theta = grid.points[2]
-    # a theta within float noise of the node must return the exact unit vector
-    vals = basis_eval_all(grid, float(np.nextafter(theta, 1.0)))
-    assert vals[2] == 1.0 and vals.sum() == 1.0
+    # a theta within float noise of the node must return the exact nodal value
+    near = np.array([np.nextafter(theta, 1.0), np.nextafter(theta, 0.0)])
+    values = np.arange(1.0, 7.0)
+    assert np.array_equal(interpolate(grid, values, near), [values[2], values[2]])

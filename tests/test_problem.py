@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from muntzvide import (
+    EXAMPLE_KEYS,
     OracleDisagreement,
     VideProblem,
     beta,
@@ -16,6 +17,7 @@ from muntzvide import (
     scaled_residual,
     singular_integral,
 )
+from muntzvide.problem import sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,7 +91,7 @@ def test_scale_identity_horizon():
 
 def test_scale_coefficient_example():
     p = VideProblem(
-        a1=math.cos,
+        a1=np.cos,
         b1=lambda t: 0.0,
         f1=lambda t: 0.0,
         k1=lambda t, s: 0.0,
@@ -172,6 +174,36 @@ def test_exact_phi_pair_scaling():
     assert phi(0.8) == pytest.approx(p.exact(0.4), rel=1e-15)
     assert phip(0.8) == pytest.approx(0.5 * p.exact_deriv(0.4), rel=1e-15)
     assert exact_phi_pair(make_example("5.4")) is None
+
+
+# --- the array callable contract ------------------------------------------------
+
+CONTRACT_T = np.array([0.0, 0.13, 0.37, 0.71, 1.0])
+CONTRACT_S = np.array([0.0, 0.05, 0.2, 0.5, 0.9])
+
+
+def assert_array_matches_scalar(fn, *args):
+    """fn on 5-element arrays equals fn called element by element."""
+    vec = np.broadcast_to(fn(*args), args[-1].shape)
+    one = np.array([fn(*(float(a[k]) for a in args)) for k in range(args[-1].size)])
+    np.testing.assert_allclose(vec, one, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("key", EXAMPLE_KEYS)
+def test_registry_callables_are_array_native(key):
+    p = make_example(key)
+    sp = scale_to_unit(p)
+    for fn in (p.a1, p.b1, p.f1, p.exact, p.exact_deriv, sp.a_t, sp.b_t, sp.f_t):
+        if fn is not None:
+            assert_array_matches_scalar(fn, CONTRACT_T)
+    for kernel in (p.k1, p.k2, sp.kbar1, sp.kbar2):
+        assert_array_matches_scalar(kernel, CONTRACT_T, CONTRACT_S)
+
+
+def test_sample_broadcasts_constant_returns():
+    out = sample(lambda t: 2.0, CONTRACT_T)
+    assert out.shape == (5,) and np.all(out == 2.0)
+    assert sample(np.cos, 0.3) == pytest.approx(math.cos(0.3), rel=1e-15)
 
 
 # --- singular integral oracles --------------------------------------------------

@@ -1,31 +1,12 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muntzvide import beta, ln_gamma
+from muntzvide import beta
 
 # frozen from 50-digit tanh-sinh quadrature of the defining integrals
-LN_SQRT_PI = 0.57236494292470008707171367567652935582364740645766
 B_HALF_TWO = 4.0 / 3.0  # oracle quad of t^(-1/2)(1-t) on [0,1] agrees to 27 digits
 B_23_83 = 0.73335364926399185036901104878537106670794084490
-
-
-def test_ln_gamma_trivial_points():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-
-
-def test_ln_gamma_half():
-    # Gamma(1/2) = sqrt(pi); reference value from a 50-digit computation
-    assert ln_gamma(0.5) == pytest.approx(LN_SQRT_PI, rel=1e-13)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-def test_ln_gamma_domain(x):
-    with pytest.raises(ValueError):
-        ln_gamma(x)
 
 
 def test_beta_trivial():
@@ -68,11 +49,3 @@ def test_beta_recurrence(a, b):
     lhs = beta(a + 1.0, b)
     rhs = beta(a, b) * a / (a + b)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.floats(min_value=0.5, max_value=100.0))
-def test_ln_gamma_shift(x):
-    lhs = ln_gamma(x + 1.0)
-    rhs = ln_gamma(x) + math.log(x)
-    assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
