@@ -43,7 +43,6 @@ from .problem import (
     exact_phi_pair,
     make_example,
     manufactured_forcing,
-    register_examples,
     scale_to_unit,
     scaled_residual,
     singular_integral,

@@ -15,7 +15,6 @@ from .muntz_basis import CollocationGrid, build_grid, interpolate
 from .problem import (
     OracleDisagreement,
     VideProblem,
-    default_lambda,
     exact_phi_pair,
     sample,
     scale_to_unit,
@@ -32,6 +31,7 @@ __all__ = [
     "weighted_l2_error",
     "linf_error",
     "solve_once",
+    "error_row",
     "convergence_sweep",
     "fit_rates",
     "reference_solution",
@@ -145,11 +145,7 @@ def linf_error(
 
 
 def _resolve_lam(problem: VideProblem, config: SolverConfig) -> float:
-    if config.lam is not None:
-        return config.lam
-    if problem.lam is not None:
-        return problem.lam
-    return default_lambda(problem.mu)
+    return config.lam if config.lam is not None else problem.lam
 
 
 def solve_once(problem: VideProblem, n: int, config: SolverConfig):
@@ -165,7 +161,8 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     return grid, sol, runtime_ms
 
 
-def _error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow:
+def error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow:
+    """Sweep row for one solve, against the exact solution or ``reference``."""
     pair = exact_phi_pair(problem)
     if pair is not None:
         phi_fn, phistar_fn = pair
@@ -226,7 +223,7 @@ def convergence_sweep(
     for n in n_list:
         try:
             grid, sol, runtime_ms = solve_once(problem, n, config)
-            row = _error_row(problem, grid, sol, config, reference, n, runtime_ms)
+            row = error_row(problem, grid, sol, config, reference, n, runtime_ms)
         except (QuadratureError, SingularSystemError, OracleDisagreement) as exc:
             row = SweepRow(
                 n=n,

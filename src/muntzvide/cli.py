@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -30,17 +30,16 @@ from .analysis import (
     SolverConfig,
     SweepRow,
     convergence_sweep,
+    error_row,
     reference_solution,
     solve_once,
 )
-from .problem import EXAMPLE_KEYS, VideProblem, make_example
-from .problem import exact_phi_pair
+from .problem import EXAMPLE_KEYS, VideProblem, exact_phi_pair, make_example
 
 __all__ = [
     "ConfigError",
     "RunSpec",
     "parse_config",
-    "render",
     "run",
     "emit_plot_data",
     "main",
@@ -231,29 +230,6 @@ def _validate(spec: RunSpec) -> None:
                 raise ConfigError(f"key {key!r} is only valid with problem = custom")
 
 
-def render(spec: RunSpec) -> str:
-    """Inverse of parse_config, used for round-trip testing."""
-    attr_to_key = {attr: key for key, (attr, _) in _KEY_TABLE.items()}
-    lines = []
-    for f in fields(RunSpec):
-        value = getattr(spec, f.name)
-        if value is None:
-            continue
-        key = attr_to_key[f.name]
-        if f.name == "n_values":
-            if len(value) == 1:
-                text = str(value[0])
-            else:
-                step = value[1] - value[0]
-                text = f"{value[0]}:{value[-1]}:{step}"
-        elif f.name == "timing":
-            text = "on" if value else "off"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 def build_problem(spec: RunSpec) -> VideProblem:
     if spec.problem == "custom":
         return VideProblem(
@@ -335,21 +311,12 @@ def run(spec: RunSpec) -> int:
         n = spec.n_values[0]
         grid, sol, runtime_ms = solve_once(problem, n, config)
         if exact_phi_pair(problem) is not None:
-            table = convergence_sweep(problem, config, [n])
+            row = error_row(problem, grid, sol, config, None, n, runtime_ms)
         else:
             # no exact solution to measure against in solve mode
-            table = ConvergenceTable(
-                rows=[
-                    SweepRow(
-                        n=n,
-                        l2_e=math.nan,
-                        linf_e=math.nan,
-                        l2_estar=math.nan,
-                        linf_estar=math.nan,
-                        runtime_ms=runtime_ms,
-                    )
-                ]
-            )
+            nan = math.nan
+            row = SweepRow(n, nan, nan, nan, nan, runtime_ms)
+        table = ConvergenceTable(rows=[row])
         _write_nodal_dump(grid, sol, out.with_suffix(".nodes.csv"))
     elif spec.mode == "sweep":
         table = convergence_sweep(problem, config, spec.n_values)

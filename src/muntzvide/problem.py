@@ -50,7 +50,6 @@ __all__ = [
     "sample",
     "singular_integral",
     "manufactured_forcing",
-    "register_examples",
     "make_example",
     "scaled_residual",
     "exact_phi_pair",
@@ -75,8 +74,9 @@ class VideProblem:
     """One equation instance on [0, T].
 
     ``k1``/``k2`` include any sign in front of their integral; ``exact`` and
-    ``exact_deriv`` are optional closed-form y and y'.  ``lam`` records the
-    recommended basis exponent for this problem (see ``default_lambda``).
+    ``exact_deriv`` are optional closed-form y and y'.  ``lam`` is the
+    recommended basis exponent for this problem; None means
+    ``default_lambda(mu)``.
     """
 
     a1: ArrayFn
@@ -100,6 +100,8 @@ class VideProblem:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if not self.T > 0.0:
             raise ValueError(f"T must be positive, got {self.T}")
+        if self.lam is None:
+            object.__setattr__(self, "lam", default_lambda(self.mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,60 +169,64 @@ def default_lambda(mu: float) -> float:
 # ---------------------------------------------------------------------------
 # weakly singular integral oracles
 # ---------------------------------------------------------------------------
+#
+# Both oracles are fixed rules (u_k, W_k) on [0, 1]: substituting s = t*u,
+#     int_0^t (t-s)^(-mu) g(s) ds = t^(1-mu) * sum_k W_k g(t u_k).
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL01_X = 0.5 * (_GL_X + 1.0)
-_GL01_W = 0.5 * _GL_W
-
-
-def singular_integral(t: float, g: ArrayFn, mu: float, levels: int = 50) -> float:
-    """int_0^t (t-s)^(-mu) g(s) ds by dyadic panels toward both endpoints.
-
-    ``g`` is called on the 12 nodes of one panel at a time.  The kernel is
-    singular at s = t and g may carry a fractional power at s = 0, so the
-    panels are refined geometrically toward both ends; on each dyadic panel
-    the integrand is analytic and 12-point Gauss-Legendre is accurate to
-    machine precision.  The leftover sliver at s = t is integrated with g
-    frozen at t (the kernel's antiderivative is explicit); the sliver at
-    s = 0 is a midpoint term of width t*2^-(levels+1).
-    """
-    if t <= 0.0:
-        return 0.0
-    total = 0.0
-    hi = 0.5 * t
-    for _ in range(levels):
-        lo = 0.5 * hi
-        width = hi - lo
-        # the same panel nodes serve d = t - s at the singular end and s at
-        # the data end
-        d = lo + width * _GL01_X
-        vals = _GL01_W @ (d**-mu * g(t - d))
-        vals += _GL01_W @ ((t - d) ** -mu * g(d))
-        total += width * vals
-        hi = lo
-    total += g(t) * hi ** (1.0 - mu) / (1.0 - mu)
-    total += g(0.5 * hi) * hi * (t - 0.5 * hi) ** -mu
-    return float(total)
-
-
-# size of the mapped oracle's Gauss-Jacobi rule
+# panel levels of the dyadic rule and size of the mapped Gauss-Jacobi rule
+_DYADIC_LEVELS = 50
 _ORACLE_POINTS = 200
 
 
 @functools.lru_cache(maxsize=32)
-def _mapped_oracle_rule(mu: float, lam: float):
-    """Gauss-Jacobi data for the substitution s = t * xi^(1/lam)."""
+def _dyadic_rule(mu: float):
+    """12-point Gauss-Legendre panels halving toward both ends of [0, 1].
+
+    The kernel is singular at u = 1 and g may carry a fractional power at
+    u = 0; on each dyadic panel the integrand is analytic.  The same panel
+    offsets f serve u = 1 - f at the singular end, where the kernel f^(-mu)
+    is taken from f itself so it never cancels, and u = f at the data end.
+    The sliver [1 - h, 1] is integrated with g frozen at u = 1, the sliver
+    [0, h] by a midpoint term.
+    """
+    x, w = np.polynomial.legendre.leggauss(12)
+    lo = 2.0 ** -np.arange(2.0, _DYADIC_LEVELS + 2.0)  # panel k is [lo, 2 lo]
+    f = (lo[:, None] * (1.5 + 0.5 * x)).ravel()
+    fw = (lo[:, None] * (0.5 * w)).ravel()
+    h = lo[-1]
+    nodes = np.concatenate([1.0 - f, f, [1.0, 0.5 * h]])
+    slivers = [h ** (1.0 - mu) / (1.0 - mu), h * (1.0 - 0.5 * h) ** -mu]
+    weights = np.concatenate([fw * f**-mu, fw * (1.0 - f) ** -mu, slivers])
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=32)
+def _mapped_rule(mu: float, lam: float):
+    """Gauss-Jacobi rule for s = t * xi^(1/lam); it absorbs the singular weight."""
     rule = to_fractional(gauss_jacobi(_ORACLE_POINTS, -mu, 1.0 / lam - 1.0), lam)
-    ratio = singular_ratio(rule.z_nodes, lam, mu)
-    return rule, ratio
+    return rule.nodes, rule.weights * singular_ratio(rule.z_nodes, lam, mu) / lam
 
 
-def _singular_integral_mapped(t, g, mu, rule, ratio) -> float:
-    """Same integral via s = t xi^(1/lam); the rule absorbs the singular weight."""
-    if t <= 0.0:
-        return 0.0
-    vals = sample(g, t * rule.nodes)
-    return t ** (1.0 - mu) / rule.lam * float(np.dot(rule.weights * ratio, vals))
+def _apply_rule(rule, t, g: ArrayFn, mu: float):
+    """t^(1-mu) * sum_k W_k g(t u_k) at every t of the array, 0 where t <= 0.
+
+    ``g`` is called once, on the array t[..., None] * u of shape
+    t.shape + (len(u),).
+    """
+    nodes, weights = rule
+    t = np.asarray(t, dtype=float)
+    tp = np.maximum(t, 0.0)
+    vals = sample(g, tp[..., None] * nodes) @ weights
+    return np.where(t > 0.0, tp ** (1.0 - mu) * vals, 0.0)[()]
+
+
+def singular_integral(t, g: ArrayFn, mu: float):
+    """int_0^t (t-s)^(-mu) g(s) ds at every t, by the dyadic-panel rule.
+
+    A scalar t gives a scalar.  ``g`` is called once, on s of shape
+    t.shape + (1202,); a g that also depends on t takes t[..., None].
+    """
+    return _apply_rule(_dyadic_rule(mu), t, g, mu)
 
 
 def manufactured_forcing(
@@ -232,57 +238,35 @@ def manufactured_forcing(
     """Forcing f1 that makes ``y`` the exact solution of ``skeleton``.
 
     Rearranges the equation: f1 = y' - a1 y - b1 y(eps t) - (K1 y) - (K2 y).
-    At every t of the argument array each weakly singular integral is
-    evaluated twice, by the mapped Gauss-Jacobi rule and by the dyadic-panel
-    rule; a disagreement beyond ``check_tol`` raises ``OracleDisagreement``.
+    Each weakly singular integral is evaluated at all t at once, by the
+    mapped Gauss-Jacobi rule and by the dyadic-panel rule; unless they agree
+    to ``check_tol`` at every t (a NaN never agrees), ``OracleDisagreement``
+    names the first t that fails.
     """
     mu, eps = skeleton.mu, skeleton.eps
-    lam_hat = skeleton.lam if skeleton.lam is not None else default_lambda(mu)
-    rule, ratio = _mapped_oracle_rule(mu, lam_hat)
-
-    def integrals(t: float) -> tuple[float, float]:
-        def g1(s):
-            return skeleton.k1(t, s) * y(s)
-
-        def g2(s):
-            return skeleton.k2(t, s) * y(s)
-
-        i1 = _singular_integral_mapped(t, g1, mu, rule, ratio)
-        i2 = _singular_integral_mapped(eps * t, g2, mu, rule, ratio)
-        i1_alt = singular_integral(t, g1, mu)
-        i2_alt = singular_integral(eps * t, g2, mu)
-        if abs(i1 - i1_alt) > check_tol or abs(i2 - i2_alt) > check_tol:
-            raise OracleDisagreement(
-                f"singular-integral oracles disagree at t={t}: "
-                f"|{i1} - {i1_alt}| and |{i2} - {i2_alt}| vs tol {check_tol}"
-            )
-        return i1, i2
+    mapped = _mapped_rule(mu, skeleton.lam)
 
     def f1(t):
         t = np.asarray(t, dtype=float)
-        i1 = np.empty(t.shape)
-        i2 = np.empty(t.shape)
-        for idx, tk in np.ndenumerate(t):
-            i1[idx], i2[idx] = integrals(float(tk))
-        return (
-            y_prime(t)
-            - skeleton.a1(t) * y(t)
-            - skeleton.b1(t) * y(eps * t)
-            - i1
-            - i2
-        )
+        total = y_prime(t) - skeleton.a1(t) * y(t) - skeleton.b1(t) * y(eps * t)
+        for horizon, kernel in ((t, skeleton.k1), (eps * t, skeleton.k2)):
+            g = lambda s: kernel(t[..., None], s) * y(s)  # noqa: E731
+            i, i_alt = _apply_rule(mapped, horizon, g, mu), singular_integral(horizon, g, mu)
+            bad = np.flatnonzero(~(np.abs(i - i_alt) <= check_tol))
+            if bad.size:
+                k = bad[0]
+                raise OracleDisagreement(
+                    f"singular-integral oracles disagree at t={np.ravel(t)[k]}: "
+                    f"|{np.ravel(i)[k]} - {np.ravel(i_alt)[k]}| vs tol {check_tol}"
+                )
+            total = total - i
+        return total
 
     return f1
 
 
-def scaled_residual(
-    scaled: ScaledProblem,
-    phi: ArrayFn,
-    phi_prime: ArrayFn,
-    theta: float,
-    levels: int = 50,
-) -> float:
-    """Residual of the rescaled equation at theta for a candidate solution.
+def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, theta):
+    """Residual of the rescaled equation at every theta for a candidate solution.
 
     Both Volterra terms are evaluated with the dyadic-panel oracle, so a
     correct (phi, phi', f_t) triple gives residuals at oracle accuracy.
@@ -290,11 +274,11 @@ def scaled_residual(
     if scaled.f_t is None:
         raise ValueError("scaled problem has no forcing term")
     mu, eps = scaled.mu, scaled.eps
-    i1 = singular_integral(
-        theta, lambda eta: scaled.kbar1(theta, eta) * phi(eta), mu, levels
-    )
+    theta = np.asarray(theta, dtype=float)
+    th = theta[..., None]
+    i1 = singular_integral(theta, lambda eta: scaled.kbar1(th, eta) * phi(eta), mu)
     i2 = singular_integral(
-        theta, lambda eta: scaled.kbar2(theta, eps * eta) * phi(eps * eta), mu, levels
+        theta, lambda eta: scaled.kbar2(th, eps * eta) * phi(eps * eta), mu
     )
     rhs = (
         scaled.a_t(theta) * phi(theta)
@@ -346,7 +330,6 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
         y0=0.0,
         exact=y,
         exact_deriv=yp,
-        lam=default_lambda(mu),
         label="5.1",
     )
 
@@ -385,7 +368,6 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
         y0=0.0,
         exact=y,
         exact_deriv=yp,
-        lam=default_lambda(mu),
         label="5.2",
     )
 
@@ -426,7 +408,6 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
         y0=0.0,
         exact=y,
         exact_deriv=yp,
-        lam=default_lambda(mu),
         label="5.3",
     )
 
@@ -457,7 +438,6 @@ def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 
         eps=eps,
         T=T,
         y0=y0,
-        lam=default_lambda(mu),
         label="5.4",
     )
 
@@ -477,7 +457,3 @@ def make_example(key: str, **overrides) -> VideProblem:
     kwargs = {k: v for k, v in overrides.items() if v is not None}
     return _FACTORIES[key](**kwargs)
 
-
-def register_examples() -> dict[str, VideProblem]:
-    """All benchmark problems with their published parameters."""
-    return {key: make_example(key) for key in EXAMPLE_KEYS}

@@ -159,9 +159,7 @@ def singular_ratio(xi, lam: float, mu: float):
     digit there.  For xi >= 1/2 the power is taken through expm1/log so the
     cancellation never happens.
     """
-    if mu == 0.0:
-        return 1.0 if np.ndim(xi) == 0 else np.ones_like(np.asarray(xi, dtype=float))
-    if lam == 1.0:
+    if mu == 0.0 or lam == 1.0:
         return 1.0 if np.ndim(xi) == 0 else np.ones_like(np.asarray(xi, dtype=float))
     scalar = np.ndim(xi) == 0
     xi = np.atleast_1d(np.asarray(xi, dtype=float))

@@ -9,12 +9,10 @@ from muntzvide.cli import (
     _KERNELS,
     CSV_HEADER,
     ConfigError,
-    RunSpec,
     build_problem,
     emit_plot_data,
     main,
     parse_config,
-    render,
     run,
 )
 
@@ -103,15 +101,6 @@ def test_named_kernels_are_array_native(name):
     np.testing.assert_allclose(np.broadcast_to(fn(t, s), t.shape), want, rtol=1e-14, atol=0)
 
 
-def test_render_round_trip():
-    for spec in (
-        parse_config(SWEEP_52),
-        RunSpec(mode="compare", problem="5.4", n_values=(6, 8, 10), ref_n=18),
-        RunSpec(mode="solve", problem="custom", n_values=(8,), mu=0.5, a1="cos", timing=True),
-    ):
-        assert parse_config(render(spec)) == spec
-
-
 # --- outputs --------------------------------------------------------------------
 
 
@@ -143,6 +132,27 @@ def test_run_solve_writes_nodal_dump(tmp_path):
     first = nodes[1].split(",")
     assert len(first) == 3
     assert all(float(v) == float(v) for v in first)  # plain parseable floats
+
+
+def test_run_solve_solves_once(tmp_path, monkeypatch):
+    import muntzvide.analysis
+    import muntzvide.cli
+
+    calls = []
+    original = muntzvide.analysis.solve_once
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(muntzvide.cli, "solve_once", counted)
+    monkeypatch.setattr(muntzvide.analysis, "solve_once", counted)
+    out = tmp_path / "once.csv"
+    spec = parse_config(f"mode = solve\nproblem = 5.1\nN = 8\noutput = {out}\n")
+    assert run(spec) == 0
+    assert calls == [8]
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[0] == "8" and all(0.0 < float(v) < 1e-6 for v in row[1:5])
 
 
 def test_run_solve_without_exact_reports_nan(tmp_path):

@@ -12,7 +12,6 @@ from muntzvide import (
     exact_phi_pair,
     make_example,
     manufactured_forcing,
-    register_examples,
     scale_to_unit,
     scaled_residual,
     singular_integral,
@@ -64,6 +63,14 @@ def test_problem_validation():
         mk(mu=0.5, eps=1.0, T=1.0, y0=0.0)
     with pytest.raises(ValueError):
         mk(mu=0.5, eps=0.5, T=0.0, y0=0.0)
+
+
+def test_problem_lambda_defaults_to_heuristic():
+    zero, kernel = (lambda t: 0.0), (lambda t, s: 0.0)
+    kw = dict(a1=zero, b1=zero, f1=zero, k1=kernel, k2=kernel, eps=0.5, T=1.0, y0=0.0)
+    assert VideProblem(mu=0.75, **kw).lam == 0.25
+    assert VideProblem(mu=0.75, lam=0.5, **kw).lam == 0.5
+    assert make_example("5.2", mu=0.25).lam == 0.25
 
 
 def test_default_lambda_heuristic():
@@ -132,7 +139,7 @@ def test_scale_round_trip_random_points():
 
 
 def test_registry_keys_and_parameters():
-    reg = register_examples()
+    reg = {key: make_example(key) for key in EXAMPLE_KEYS}
     assert set(reg) == {"5.1", "5.2", "5.3", "5.4"}
 
     p1 = reg["5.1"]
@@ -220,6 +227,17 @@ def test_singular_integral_moment_closed_forms():
 
 def test_singular_integral_zero_horizon():
     assert singular_integral(0.0, lambda s: 1.0, 0.5) == 0.0
+    assert np.all(singular_integral(np.array([-0.5, 0.0]), lambda s: 1.0, 0.5) == 0.0)
+
+
+def test_singular_integral_takes_arrays():
+    # the t-dependent integrand reaches g as t[..., None]
+    t = np.array([[0.1, 0.4], [0.7, 1.0]])
+    got = singular_integral(t, lambda s: t[..., None] * s, 0.5)
+    assert got.shape == (2, 2)
+    for idx, tk in np.ndenumerate(t):
+        assert got[idx] == pytest.approx(tk * singular_integral(tk, lambda s: s, 0.5), rel=1e-15)
+    np.testing.assert_allclose(got, beta(2.0, 0.5) * t**2.5, rtol=1e-13)
 
 
 # --- manufactured forcing -------------------------------------------------------
@@ -233,8 +251,9 @@ def test_manufactured_matches_corrected_closed_form_51():
 
 def test_manufactured_matches_corrected_closed_form_52():
     p = make_example("5.2")
-    for t in (0.05, 0.2, 0.4, 0.5):
-        assert p.f1(t) == pytest.approx(corrected_f1_ex52(t), abs=1e-10)
+    t = np.array([[0.05, 0.2], [0.4, 0.5]])  # one call on a 2-d array
+    want = [[corrected_f1_ex52(tk) for tk in row] for row in t]
+    np.testing.assert_allclose(p.f1(t), want, rtol=0, atol=1e-10)
 
 
 def test_manufactured_zero_solution():
@@ -266,6 +285,17 @@ def test_oracle_disagreement_raises():
     f1 = manufactured_forcing(base.exact, base.exact_deriv, base, check_tol=-1.0)
     with pytest.raises(OracleDisagreement):
         f1(0.5)
+    with pytest.raises(OracleDisagreement, match="t=0.2"):
+        f1(np.array([0.2, 0.5]))
+
+
+def test_oracle_gate_rejects_nan():
+    # sqrt(s - 0.3) is NaN on [0, 0.3): both oracles return NaN at t = 0.8
+    f1 = manufactured_forcing(
+        lambda t: np.sqrt(t - 0.3), lambda t: 0.5 / np.sqrt(t - 0.3), make_example("5.1")
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(OracleDisagreement, match="t=0.8"):
+        f1(0.8)
 
 
 # --- residual oracle ------------------------------------------------------------
@@ -279,6 +309,15 @@ def test_corrected_forcing_residuals(key):
     rng = np.random.default_rng(17)
     for th in rng.uniform(0.0, 1.0, 5) + 1e-3:
         assert abs(scaled_residual(sp, phi, phip, min(th, 1.0))) <= 1e-9
+
+
+def test_scaled_residual_takes_arrays():
+    sp = scale_to_unit(make_example("5.1", forcing="printed"))
+    phi, phip = exact_phi_pair(make_example("5.1"))
+    theta = np.array([0.3, 0.6, 0.9])
+    got = scaled_residual(sp, phi, phip, theta)
+    want = [scaled_residual(sp, phi, phip, th) for th in theta]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_printed_forcing_violates_equation():

@@ -269,3 +269,45 @@ def test_ratio_agrees_with_naive_formula_at_benign_points():
     for xi in (0.1, 0.3, 0.6, 0.9):
         naive = ((1.0 - xi ** (1.0 / lam)) / (1.0 - xi)) ** -mu
         assert singular_ratio(xi, lam, mu) == pytest.approx(naive, rel=1e-13)
+
+
+# --- large-n weights against an extended-precision closed form ------------------
+
+
+def _jacobi_p(n, a, b, x):
+    """P_n^(a,b)(x) by the classical three-term recurrence, in mpmath numbers."""
+    p0, p1 = 1, (a + 1) + (a + b + 2) * (x - 1) / 2
+    for k in range(2, n + 1):
+        c = 2 * k + a + b
+        p0, p1 = p1, (
+            (c - 1) * (c * (c - 2) * x + a * a - b * b) * p1
+            - 2 * (k + a - 1) * (k + b - 1) * c * p0
+        ) / (2 * k * (k + a + b) * (c - 2))
+    return p1
+
+
+def test_large_n_end_weights_match_extended_precision():
+    # The solver's kernel rule at lam = 1/2, mu = 1/2 has (alpha, beta) =
+    # (-1/2, 1).  Each node is Newton-refined once at 32 digits and its weight
+    # taken from the closed form 2^(a+b+1) G(n+a+1) G(n+b+1) /
+    # (G(n+a+b+1) n! (1-x^2) P_n'(x)^2).  Golub-Welsch stays within 4.3e-13
+    # here; scipy.special.roots_jacobi is off by 3.6e-11.
+    mp = pytest.importorskip("mpmath")
+    n, alpha, beta_ = 120, -0.5, 1.0
+    rule = gauss_jacobi(n, alpha, beta_)
+    ends = np.r_[0:10, n - 10 : n]
+    with mp.workdps(32):
+        a, b = mp.mpf(alpha), mp.mpf(beta_)
+
+        def dp(x):
+            return (n + a + b + 1) / 2 * _jacobi_p(n - 1, a + 1, b + 1, x)
+
+        scale = (
+            2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+            / (mp.gamma(n + a + b + 1) * mp.factorial(n))
+        )
+        want = []
+        for x in map(mp.mpf, rule.nodes[ends].tolist()):
+            x -= _jacobi_p(n, a, b, x) / dp(x)
+            want.append(float(scale / ((1 - x * x) * dp(x) ** 2)))
+    np.testing.assert_allclose(rule.weights[ends], want, rtol=2e-12, atol=0)
