@@ -25,8 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .muntz_basis import CollocationGrid, basis_matrix_z
+from .muntz_basis import CollocationGrid, basis_product
 from .problem import ScaledProblem, sample
 from .quadrature import FractionalRule, singular_ratio
 
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
+# rows of C, D, E, H are built in blocks holding at most this many entries of
+# the (rows, K, N+1) Cauchy array, which bounds the assembly's scratch memory
+_BLOCK_ENTRIES = 2**16
 
 
 class SingularSystemError(RuntimeError):
@@ -94,8 +99,10 @@ def assemble(
     The rules enter in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
-    Each kernel is called once per row, on the whole eta vector, and each
-    coefficient once, on all grid points.
+    Rows are filled in blocks of at most ``_BLOCK_ENTRIES`` Cauchy entries
+    (see ``basis_product``); each kernel is called once per block, on the
+    broadcast (theta_i, eta_ik) arrays, and each coefficient once, on all
+    grid points.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")
@@ -115,16 +122,18 @@ def assemble(
     D = np.empty((n1, n1))
     E = np.empty((n1, n1))
     H = np.empty((n1, n1))
-    for i in range(n1):
-        ti, zi = theta[i], z[i]
+    step = max(1, _BLOCK_ENTRIES // (max(xi.size, xih.size) * n1))
+    for start in range(0, n1, step):
+        rows = slice(start, start + step)
+        ti, zi = theta[rows, None], z[rows, None]
         eta = ti * root_mu
         # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
         # endpoint-stable singular ratio, times the rule weight
         fac = (ti ** (1.0 - mu) / lam) * ratio * om
-        C[i] = (fac * scaled.kbar1(ti, eta)) @ basis_matrix_z(grid, zi * xi)
-        D[i] = (fac * scaled.kbar2(ti, eps * eta)) @ basis_matrix_z(grid, eps_lam * zi * xi)
-        E[i] = (ti / lam) * (omh @ basis_matrix_z(grid, zi * xih))
-        H[i] = (eps * ti / lam) * (omh @ basis_matrix_z(grid, eps_lam * zi * xih))
+        C[rows] = basis_product(grid, fac * scaled.kbar1(ti, eta), zi * xi)
+        D[rows] = basis_product(grid, fac * scaled.kbar2(ti, eps * eta), eps_lam * zi * xi)
+        E[rows] = (ti / lam) * basis_product(grid, omh, zi * xih)
+        H[rows] = (eps * ti / lam) * basis_product(grid, omh, eps_lam * zi * xih)
 
     A = np.diag(sample(scaled.a_t, theta))
     B = np.diag(sample(scaled.b_t, theta))
@@ -137,19 +146,30 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     """Solve the reduced system and back-substitute U and V.
 
     Eliminating U and V gives [I - (A+C+D)E - BH] U* = (A+C+D+B) U0 + F,
-    solved by dense LU with partial pivoting.
+    solved by dense LU with partial pivoting.  The condition number is the
+    1-norm estimate LAPACK ``gecon`` takes from the same LU factors; a
+    non-finite matrix, an exact zero pivot or an estimate above
+    ``_COND_LIMIT`` raises ``SingularSystemError``.
     """
     n1 = sysm.fvec.shape[0]
     G = sysm.A + sysm.C + sysm.D
     M = np.eye(n1) - G @ sysm.E - sysm.B @ sysm.H
     rhs = (G + sysm.B) @ sysm.u0 + sysm.fvec
-    try:
-        u_star = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("reduced collocation matrix is singular", math.inf) from exc
-    cond = float(np.linalg.cond(M))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.isfinite(M).all():
+        raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
+    anorm = np.linalg.norm(M, 1)
+    # getrf is what scipy.linalg.lu_factor calls; called directly it reports an
+    # exact zero pivot through info rather than a LinAlgWarning, which only a
+    # process-wide (not thread-safe) warnings filter could silence
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (M,))
+    lu, piv, info = getrf(M, overwrite_a=True)
+    if info > 0:
+        raise SingularSystemError("reduced collocation matrix is singular", math.inf)
+    rcond, _ = gecon(lu, anorm, norm="1")
+    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    if cond > _COND_LIMIT:
         raise SingularSystemError("reduced collocation matrix is ill-conditioned", cond)
+    u_star = lu_solve((lu, piv), rhs, check_finite=False)
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
     return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid)

@@ -23,6 +23,7 @@ __all__ = [
     "CollocationGrid",
     "build_grid",
     "basis_matrix_z",
+    "basis_product",
     "interpolate",
 ]
 
@@ -40,6 +41,14 @@ class CollocationGrid:
     points: np.ndarray
     z_points: np.ndarray
     bary_weights: np.ndarray
+
+
+def _snap(grid: CollocationGrid, z: np.ndarray):
+    """Index of the node nearest each z, and whether z lies within _SNAP_TOL of it."""
+    nodes = grid.z_points
+    right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
+    near = right - (z - nodes[right - 1] < nodes[right] - z)
+    return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
@@ -73,12 +82,38 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     diff = z[:, None] - grid.z_points[None, :]
-    hit = np.abs(diff) <= _SNAP_TOL
-    terms = grid.bary_weights / np.where(hit, 1.0, diff)
+    near, snap = _snap(grid, z)
+    rows, cols = np.flatnonzero(snap), near[snap]
+    diff[rows, cols] = 1.0
+    terms = grid.bary_weights / diff
     out = terms / terms.sum(axis=1, keepdims=True)
-    snap = hit.any(axis=1)
+    out[rows] = 0.0
+    out[rows, cols] = 1.0
+    return out
+
+
+def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
+    """Row-wise ``v @ basis_matrix_z(grid, z)`` without forming the basis table.
+
+    ``z`` has shape (m, K) and ``v`` broadcasts to it; row r of the (m, N+1)
+    result is sum_k v[r, k] F_j(z[r, k]).  In the second barycentric form
+    F_j(z) = (w_j / (z - z_j)) / S(z) with S(z) = sum_l w_l / (z - z_l), so with
+    the Cauchy matrix R = 1 / (z - z_j) the product is w * ((v / S) @ R).
+    S(z) = 1 / prod_l (z - z_l) never vanishes.  A z within ``_SNAP_TOL`` of a
+    node adds its v to that node's column only.
+    """
+    v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
+    near, snap = _snap(grid, z)
+    # a snapped z is moved off [0, 1] so its Cauchy row stays finite; its
+    # coefficient is zero and its v goes straight to the nearest node
+    cauchy = np.subtract.outer(np.where(snap, -1.0, z), grid.z_points)
+    np.reciprocal(cauchy, out=cauchy)
+    w = grid.bary_weights
+    coef = np.where(snap, 0.0, v / (cauchy @ w))
+    out = w * (coef[:, None, :] @ cauchy)[:, 0, :]
     if snap.any():
-        out[snap] = hit[snap].astype(float)
+        r, k = np.nonzero(snap)
+        np.add.at(out, (r, near[r, k]), np.broadcast_to(v, z.shape)[r, k])
     return out
 
 

@@ -16,6 +16,7 @@ moves them by at most 4e-16 for rules of up to 129 points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,10 @@ __all__ = [
     "muntz_weight",
     "singular_ratio",
 ]
+
+
+# rules kept by gauss_jacobi; a sweep over N needs three per N plus its L2 rule
+_RULE_CACHE_SIZE = 128
 
 
 class QuadratureError(RuntimeError):
@@ -93,11 +98,14 @@ def _recurrence(npts: int, alpha: float, beta: float):
     return diag, off
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     """npts-point Gauss-Jacobi rule, exact to polynomial degree 2*npts - 1.
 
     Golub-Welsch: nodes are the eigenvalues of the recurrence matrix, weights
-    are mu_0 times the squared first eigenvector components.
+    are mu_0 times the squared first eigenvector components.  The most recent
+    ``_RULE_CACHE_SIZE`` rules are cached; their arrays are read-only, so a
+    repeat call hands every caller the same rule object.
     """
     if npts < 1:
         raise ValueError(f"need at least one point, got {npts}")

@@ -1,20 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from muntzvide import (
+    SingularSystemError,
+    SolverConfig,
+    SystemMatrices,
     VideProblem,
     assemble,
+    basis_matrix_z,
     beta,
     build_grid,
+    convergence_sweep,
     exact_phi_pair,
     gauss_jacobi,
     interpolate,
     make_example,
     scale_to_unit,
     singular_integral,
+    singular_ratio,
     solve,
     to_fractional,
 )
+from muntzvide.collocation import _BLOCK_ENTRIES
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -156,6 +165,65 @@ def test_brute_force_kernel_entries_small_n():
             assert sysm.C[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def rowwise_assembly(scaled, grid, qmu, qhat):
+    """C, D, E, H one row at a time from the tabulated, normalised basis."""
+    lam, mu, eps = grid.lam, scaled.mu, scaled.eps
+    xi, om, xih, omh = qmu.z_nodes, qmu.weights, qhat.z_nodes, qhat.weights
+    ratio = singular_ratio(xi, lam, mu)
+    rows = []
+    for ti, zi in zip(grid.points, grid.z_points):
+        eta = ti * qmu.nodes
+        fac = (ti ** (1.0 - mu) / lam) * ratio * om
+        rows.append((
+            (fac * scaled.kbar1(ti, eta)) @ basis_matrix_z(grid, zi * xi),
+            (fac * scaled.kbar2(ti, eps * eta)) @ basis_matrix_z(grid, eps**lam * zi * xi),
+            (ti / lam) * (omh @ basis_matrix_z(grid, zi * xih)),
+            (eps * ti / lam) * (omh @ basis_matrix_z(grid, eps**lam * zi * xih)),
+        ))
+    return [np.array(m) for m in zip(*rows)]
+
+
+def kernel_problem(mu, constant=False):
+    if constant:  # as the CLI kernel tables write them
+        k1, k2 = (lambda t, s: 1.0), (lambda t, s: -1.0)
+    else:
+        k1, k2 = (lambda t, s: np.cos(t - s) + s), (lambda t, s: np.exp(-t * s))
+    return VideProblem(
+        a1=np.cos, b1=lambda t: 0.5 + 0.0 * t, f1=np.sin, k1=k1, k2=k2,
+        mu=mu, eps=0.6, T=1.5, y0=1.0,
+    )
+
+
+ASSEMBLY_CASES = [
+    (n, lam, mu, False) for n in (8, 40) for lam in (1.0, 0.5, 1.0 / 3.0) for mu in (0.0, 0.5)
+] + [(40, 0.5, 0.5, True)]
+
+
+@pytest.mark.parametrize("n, lam, mu, constant", ASSEMBLY_CASES)
+def test_blocked_assembly_matches_rowwise_basis_tables(n, lam, mu, constant):
+    p = kernel_problem(mu, constant)
+    grid, sysm = assembled(p, n, lam)
+    want = rowwise_assembly(scale_to_unit(p), grid, *rules_for(n, mu, lam))
+    for got, ref in zip((sysm.C, sysm.D, sysm.E, sysm.H), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_assembly_calls_each_kernel_once_per_block():
+    n = 40  # 41 rows of 41 x 41 Cauchy entries: more than one block
+    step = max(1, _BLOCK_ENTRIES // (n + 1) ** 2)
+    blocks = math.ceil((n + 1) / step)
+    assert blocks >= 2
+    calls = []
+    p = VideProblem(
+        a1=lambda t: 0.0, b1=lambda t: 0.0, f1=lambda t: 0.0,
+        k1=lambda t, s: calls.append(np.shape(s)) or 1.0, k2=lambda t, s: 0.0,
+        mu=0.5, eps=0.5, T=1.0, y0=0.0,
+    )
+    assembled(p, n, 0.5)
+    assert len(calls) == blocks
+    assert sum(rows for rows, _ in calls) == n + 1
+
+
 def test_assemble_validates_rule_parameters():
     p = zero_problem()
     grid = build_grid(4, -0.5, -0.5, 0.5)
@@ -247,3 +315,45 @@ def test_eval_solution_near_origin_approximates_initial_value():
     phi0 = interpolate(grid, sol.u, 0.0)
     # zero is not a collocation point, so this holds only to scheme accuracy
     assert phi0 == pytest.approx(p.y0, abs=1e-9)
+
+
+# --- condition gate -------------------------------------------------------------
+
+
+def system_with_matrix(m):
+    """System whose reduced matrix I - (A+C+D)E - BH is exactly m."""
+    eye, zero = np.eye(len(m)), np.zeros_like(m)
+    return SystemMatrices(
+        A=eye, B=zero, C=zero, D=zero, E=eye - m, H=zero,
+        fvec=np.ones(len(m)), u0=np.zeros(len(m)), grid=None,
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_exactly_singular_system_raises():
+    with pytest.raises(SingularSystemError, match="is singular") as exc:
+        solve(system_with_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+    assert exc.value.cond == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_ill_conditioned_system_raises():
+    # [[1, 1], [1, 1 + d]] with d = 2^-48 has condition number about 4/d = 1.1e15
+    d = 2.0**-48
+    with pytest.raises(SingularSystemError, match="ill-conditioned") as exc:
+        solve(system_with_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + d]])))
+    assert 1e14 < exc.value.cond < 1e16
+
+
+def test_non_finite_system_is_a_failed_sweep_row():
+    # a1 is NaN on half the interval, so the reduced matrix has NaN rows
+    p = VideProblem(
+        a1=lambda t: np.where(t < 0.5, np.nan, 1.0), b1=lambda t: 0.0,
+        f1=lambda t: 1.0, k1=lambda t, s: 0.0, k2=lambda t, s: 0.0,
+        mu=0.5, eps=0.5, T=1.0, y0=0.0, exact=lambda t: t, exact_deriv=lambda t: 1.0,
+    )
+    table = convergence_sweep(p, SolverConfig(), [4, 6])
+    assert [row.failed for row in table.rows] == [True, True]
+    assert all("non-finite" in row.message for row in table.rows)
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        solve(assembled(p, 4, 0.5)[1])

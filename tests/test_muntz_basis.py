@@ -10,6 +10,7 @@ from muntzvide import (
     interpolate,
     to_fractional,
 )
+from muntzvide.muntz_basis import basis_product
 
 LAMBDAS = [1.0, 0.5, 1.0 / 3.0]
 
@@ -161,3 +162,33 @@ def test_snapping_tolerance_near_grid_point():
     near = np.array([np.nextafter(theta, 1.0), np.nextafter(theta, 0.0)])
     values = np.arange(1.0, 7.0)
     assert np.array_equal(interpolate(grid, values, near), [values[2], values[2]])
+
+
+@pytest.mark.parametrize("n, lam", [(8, 1.0), (40, 0.5), (64, 1.0 / 3.0)])
+def test_basis_product_matches_basis_table(n, lam):
+    # row r of the product is v[r] @ basis_matrix_z(grid, z[r]), also where a
+    # z hits a node exactly, lies within rounding of one, or is the origin
+    grid = build_grid(n, -0.5, -0.5, lam)
+    nodes = grid.z_points
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.0, 1.0, (4, n + 1))
+    z[0, :3] = nodes[[0, n // 2, n]]
+    z[1, 0] = nodes[1] + 1e-16
+    z[2, 0] = 0.0
+    z[3, 0] = nodes[0] * (1.0 + 2e-16)
+    v = rng.standard_normal(z.shape)
+    got = basis_product(grid, v, z)
+    want = np.array([vr @ basis_matrix_z(grid, zr) for vr, zr in zip(v, z)])
+    assert got.shape == (4, n + 1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_basis_product_snaps_nodes_and_broadcasts_weights():
+    # z on the nodes gives the Kronecker table: the product returns v itself
+    grid = build_grid(6, -0.5, -0.5, 0.5)
+    v = np.arange(1.0, 8.0)
+    assert np.array_equal(basis_product(grid, v, grid.z_points[None, :]), v[None, :])
+    # a 1-d v is shared by every row
+    z = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.9]])
+    w = np.array([0.5, -1.0, 2.0])
+    assert np.array_equal(basis_product(grid, w, z), basis_product(grid, np.tile(w, (2, 1)), z))

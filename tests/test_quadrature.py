@@ -164,6 +164,21 @@ def test_invalid_rule_requests():
         gauss_jacobi(4, -1.5, 0.0)
 
 
+def test_repeat_rule_is_the_cached_object():
+    rule = gauss_jacobi(17, -0.5, 1.0)
+    assert gauss_jacobi(17, -0.5, 1.0) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_invalid_rule_requests_raise_on_every_call():
+    for args in [(0, 0.0, 0.0), (4, -1.5, 0.0), (4, 0.0, -1.0)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gauss_jacobi(*args)
+
+
 # --- fractional rules --------------------------------------------------------
 
 
