@@ -52,7 +52,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureRule,
     gauss_jacobi,
-    muntz_weight,
     singular_ratio,
     to_fractional,
 )

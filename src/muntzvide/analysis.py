@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -112,18 +111,32 @@ class ReferenceSolution:
     n: int
 
 
+def _linf_points(grid_size: int) -> np.ndarray:
+    if grid_size < 2:
+        raise ValueError(f"need at least two grid points, got {grid_size}")
+    return np.linspace(_LINF_LEFT, 1.0, grid_size)
+
+
+# the two reductions, per channel (column) for 2-d values; a NaN makes its
+# channel NaN
+def _l2_norm(weights: np.ndarray, vals: np.ndarray):
+    return np.sqrt(np.dot(weights, vals * vals))
+
+
+def _sup_norm(vals: np.ndarray):
+    return np.max(np.abs(vals), axis=0)
+
+
 def weighted_l2_error(
     err_fn: Callable[[np.ndarray], np.ndarray], alpha: float, beta: float, m: int
 ) -> float:
     """Weighted L2 norm of err_fn against (1-theta)^alpha theta^beta on [0, 1].
 
-    ``err_fn`` is called once, on the array of the m quadrature nodes.
+    ``err_fn`` is called once, on the array of the m quadrature nodes; m < 1
+    raises ``ValueError`` (from ``gauss_jacobi``).
     """
-    if m < 1:
-        raise ValueError(f"need at least one quadrature point, got {m}")
     rule = to_fractional(gauss_jacobi(m, alpha, beta), 1.0)
-    vals = sample(err_fn, rule.nodes)
-    return math.sqrt(float(np.dot(rule.weights, vals * vals)))
+    return float(_l2_norm(rule.weights, sample(err_fn, rule.nodes)))
 
 
 def linf_error(
@@ -136,12 +149,10 @@ def linf_error(
     ``err_fn`` is called once, on the array of all points; a NaN anywhere
     makes the result NaN.
     """
-    if grid_size < 2:
-        raise ValueError(f"need at least two grid points, got {grid_size}")
-    pts = np.linspace(_LINF_LEFT, 1.0, grid_size)
+    pts = _linf_points(grid_size)
     if extra_points is not None:
         pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
-    return float(np.max(np.abs(err_fn(pts))))
+    return float(_sup_norm(sample(err_fn, pts)))
 
 
 def _resolve_lam(problem: VideProblem, config: SolverConfig) -> float:
@@ -161,27 +172,35 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     return grid, sol, runtime_ms
 
 
-def error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow:
-    """Sweep row for one solve, against the exact solution or ``reference``."""
+def _true_values(problem, reference, theta) -> np.ndarray:
+    """(phi, phi*) at theta, shape theta.shape + (2,): exact, else from ``reference``."""
     pair = exact_phi_pair(problem)
     if pair is not None:
-        phi_fn, phistar_fn = pair
-    else:
-        phi_fn = partial(interpolate, reference.grid, reference.u)
-        phistar_fn = partial(interpolate, reference.grid, reference.u_star)
+        return np.stack([sample(fn, theta) for fn in pair], axis=-1)
+    return interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
 
-    e = lambda th: phi_fn(th) - interpolate(grid, sol.u, th)  # noqa: E731
-    estar = lambda th: phistar_fn(th) - interpolate(grid, sol.u_star, th)  # noqa: E731
 
+def _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed: dict) -> SweepRow:
+    # the L2 nodes and the uniform sup-norm grid depend on N only through the
+    # L2 size m: ``fixed`` keeps them and (phi, phi*) there under m
     m = config.l2_points if config.l2_points is not None else max(4 * n, 200)
-    return SweepRow(
-        n=n,
-        l2_e=weighted_l2_error(e, config.alpha, config.beta, m),
-        linf_e=linf_error(e, config.linf_points, extra_points=grid.points),
-        l2_estar=weighted_l2_error(estar, config.alpha, config.beta, m),
-        linf_estar=linf_error(estar, config.linf_points, extra_points=grid.points),
-        runtime_ms=runtime_ms,
-    )
+    if m not in fixed:
+        rule = to_fractional(gauss_jacobi(m, config.alpha, config.beta), 1.0)
+        theta = np.concatenate([rule.nodes, _linf_points(config.linf_points)])
+        fixed[m] = rule.weights, theta, _true_values(problem, reference, theta)
+    weights, theta, true = fixed[m]
+    # the sup norm runs over the uniform grid and this solve's own grid points
+    theta = np.concatenate([theta, grid.points])
+    true = np.concatenate([true, _true_values(problem, reference, grid.points)])
+    err = true - interpolate(grid, np.column_stack([sol.u, sol.u_star]), theta)
+    l2 = _l2_norm(weights, err[:m]).tolist()
+    linf = _sup_norm(err[m:]).tolist()
+    return SweepRow(n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
+
+
+def error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow:
+    """Sweep row for one solve, against the exact solution or ``reference``."""
+    return _error_row(problem, grid, sol, config, reference, n, runtime_ms, {})
 
 
 def convergence_sweep(
@@ -220,10 +239,13 @@ def convergence_sweep(
             "T": problem.T,
         }
     )
+    # one cache per call: a reference is interpolated at the N-independent
+    # points once per sweep, and nothing is kept between sweeps
+    fixed: dict = {}
     for n in n_list:
         try:
             grid, sol, runtime_ms = solve_once(problem, n, config)
-            row = error_row(problem, grid, sol, config, reference, n, runtime_ms)
+            row = _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed)
         except (QuadratureError, SingularSystemError, OracleDisagreement) as exc:
             row = SweepRow(
                 n=n,

@@ -339,7 +339,7 @@ def run(spec: RunSpec) -> int:
     return 0 if not any(r.failed for r in table.rows) else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muntzvide",
         description="Spectral collocation runs for delay Volterra integro-differential equations",
@@ -355,7 +355,15 @@ def main(argv=None) -> int:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process: parse_args leaves it unchanged
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         text = Path(args.config).read_text()

@@ -148,8 +148,8 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     Eliminating U and V gives [I - (A+C+D)E - BH] U* = (A+C+D+B) U0 + F,
     solved by dense LU with partial pivoting.  The condition number is the
     1-norm estimate LAPACK ``gecon`` takes from the same LU factors; a
-    non-finite matrix, an exact zero pivot or an estimate above
-    ``_COND_LIMIT`` raises ``SingularSystemError``.
+    non-finite matrix or right-hand side, an exact zero pivot or an estimate
+    above ``_COND_LIMIT`` raises ``SingularSystemError``.
     """
     n1 = sysm.fvec.shape[0]
     G = sysm.A + sysm.C + sysm.D
@@ -157,6 +157,8 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     rhs = (G + sysm.B) @ sysm.u0 + sysm.fvec
     if not np.isfinite(M).all():
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
+    if not np.isfinite(rhs).all():
+        raise SingularSystemError("right-hand side has non-finite entries", math.nan)
     anorm = np.linalg.norm(M, 1)
     # getrf is what scipy.linalg.lu_factor calls; called directly it reports an
     # exact zero pivot through info rather than a LinAlgWarning, which only a

@@ -72,24 +72,43 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
     )
 
 
+def _cauchy(grid: CollocationGrid, z: np.ndarray):
+    """R = 1 / (z - z_j) and ``_snap(grid, z)``; a snapped z is moved off [0, 1].
+
+    Moving it keeps its row finite; callers give such a z its nodal value.
+    """
+    near, snap = _snap(grid, z)
+    cauchy = np.subtract.outer(np.where(snap, -1.0, z), grid.z_points)
+    np.reciprocal(cauchy, out=cauchy)
+    return cauchy, near, snap
+
+
+def _interpolate_z(grid: CollocationGrid, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The interpolant of ``values`` (N+1,) or (N+1, c) at 1-d mapped coordinates z.
+
+    Second barycentric form: every channel shares one Cauchy matrix R, and
+    p = (R @ (w values)) / (R @ w).  A snapped z takes its nodal value exactly.
+    """
+    cauchy, near, snap = _cauchy(grid, z)
+    w = grid.bary_weights
+    den = cauchy @ w
+    if values.ndim == 2:
+        w, den = w[:, None], den[:, None]
+    out = (cauchy @ (w * values)) / den
+    out[snap] = values[near[snap]]
+    return out
+
+
 def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     """Tabulate all N+1 cardinal functions at mapped coordinates z.
 
     Returns an array of shape (len(z), N+1); row m holds F_j(z_m) for all j.
-    Callers that know z = theta^lam exactly (the collocation matrices sample
-    the basis at theta_i * xi^(1/lam), whose z coordinate is the product
-    z_i * xi) should use this entry point to avoid a lossy power round trip.
+    It is the interpolant of the identity, so column j is bitwise what
+    ``interpolate`` gives for the unit vector e_j.  Taking z rather than theta
+    spares a caller who knows z exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    diff = z[:, None] - grid.z_points[None, :]
-    near, snap = _snap(grid, z)
-    rows, cols = np.flatnonzero(snap), near[snap]
-    diff[rows, cols] = 1.0
-    terms = grid.bary_weights / diff
-    out = terms / terms.sum(axis=1, keepdims=True)
-    out[rows] = 0.0
-    out[rows, cols] = 1.0
-    return out
+    return _interpolate_z(grid, np.eye(grid.n + 1), z)
 
 
 def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
@@ -103,11 +122,7 @@ def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
     node adds its v to that node's column only.
     """
     v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
-    near, snap = _snap(grid, z)
-    # a snapped z is moved off [0, 1] so its Cauchy row stays finite; its
-    # coefficient is zero and its v goes straight to the nearest node
-    cauchy = np.subtract.outer(np.where(snap, -1.0, z), grid.z_points)
-    np.reciprocal(cauchy, out=cauchy)
+    cauchy, near, snap = _cauchy(grid, z)
     w = grid.bary_weights
     coef = np.where(snap, 0.0, v / (cauchy @ w))
     out = w * (coef[:, None, :] @ cauchy)[:, 0, :]
@@ -120,13 +135,15 @@ def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
 def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
     """Evaluate the interpolant through (theta_j, values_j) at every theta.
 
-    ``theta`` may have any shape; the result has the same shape.  At a grid
-    point the value is exactly the nodal value.
+    ``values`` holds one channel, shape (N+1,), or c channels, shape
+    (N+1, c); the result has shape ``theta.shape`` or ``theta.shape + (c,)``.
+    At a grid point the value is exactly the nodal value.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n + 1,):
+    if values.ndim not in (1, 2) or values.shape[0] != grid.n + 1:
         raise ValueError(
-            f"expected {grid.n + 1} nodal values, got shape {values.shape}"
+            f"expected {grid.n + 1} nodal values per channel, got shape {values.shape}"
         )
     theta = np.asarray(theta, dtype=float)
-    return (basis_matrix_z(grid, theta.ravel() ** grid.lam) @ values).reshape(theta.shape)
+    out = _interpolate_z(grid, values, theta.ravel() ** grid.lam)
+    return out.reshape(theta.shape + values.shape[1:])

@@ -31,7 +31,6 @@ __all__ = [
     "FractionalRule",
     "gauss_jacobi",
     "to_fractional",
-    "muntz_weight",
     "singular_ratio",
 ]
 
@@ -151,12 +150,6 @@ def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
         weights=weights,
         z_nodes=z,
     )
-
-
-def muntz_weight(theta, alpha: float, beta: float, lam: float):
-    """Weight lam (1-theta^lam)^alpha theta^((beta+1)*lam - 1) on (0, 1)."""
-    theta = np.asarray(theta, dtype=float) if np.ndim(theta) else theta
-    return lam * (1.0 - theta**lam) ** alpha * theta ** ((beta + 1.0) * lam - 1.0)
 
 
 def singular_ratio(xi, lam: float, mu: float):

@@ -17,8 +17,10 @@ from muntzvide import (
     linf_error,
     make_example,
     reference_solution,
+    solve_once,
     weighted_l2_error,
 )
+from muntzvide.analysis import error_row
 
 
 def constant_problem(c=2.0):
@@ -245,3 +247,77 @@ def test_compare_sweep_uses_reference_channels():
     table = convergence_sweep(p, SolverConfig(), [4, 6, 8], reference=ref)
     errs = [r.linf_e for r in table.rows]
     assert errs[0] > errs[-1] > 0.0
+
+
+# --- error rows -----------------------------------------------------------------
+
+
+def four_callable_row(problem, grid, sol, config, reference, n):
+    """The errors as four one-channel callables through the public norms."""
+    pair = exact_phi_pair(problem)
+    if pair is not None:
+        phi_fn, phistar_fn = pair
+    else:
+        phi_fn = lambda th: interpolate(reference.grid, reference.u, th)  # noqa: E731
+        phistar_fn = lambda th: interpolate(reference.grid, reference.u_star, th)  # noqa: E731
+    e = lambda th: phi_fn(th) - interpolate(grid, sol.u, th)  # noqa: E731
+    estar = lambda th: phistar_fn(th) - interpolate(grid, sol.u_star, th)  # noqa: E731
+    m = config.l2_points if config.l2_points is not None else max(4 * n, 200)
+    return [
+        weighted_l2_error(e, config.alpha, config.beta, m),
+        linf_error(e, config.linf_points, extra_points=grid.points),
+        weighted_l2_error(estar, config.alpha, config.beta, m),
+        linf_error(estar, config.linf_points, extra_points=grid.points),
+    ]
+
+
+# (problem, N, lam, reference order): exact and reference mode, each with the
+# default L2 size 200 and with m = 4N at N > 50; lam = 1 keeps the errors at
+# N > 50 far above rounding level
+@pytest.mark.parametrize(
+    "key, n, lam, ref_n",
+    [("5.1", 6, None, None), ("5.1", 56, 1.0, None), ("5.4", 8, None, 24), ("5.4", 52, 1.0, 60)],
+)
+def test_error_row_matches_four_callable_norms(key, n, lam, ref_n):
+    p = make_example(key)
+    config = SolverConfig(lam=lam)
+    ref = reference_solution(p, config, ref_n) if ref_n is not None else None
+    grid, sol, _ = solve_once(p, n, config)
+    row = error_row(p, grid, sol, config, ref, n, 1.0)
+    got = [row.l2_e, row.linf_e, row.l2_estar, row.linf_estar]
+    want = four_callable_row(p, grid, sol, config, ref, n)
+    assert min(want) > 1e-9
+    # grouping the points differently changes how BLAS accumulates each
+    # interpolated value, by a few ulps of the O(1) nodal values
+    scale = max(np.abs(sol.u).max(), np.abs(sol.u_star).max())
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
+    # a sweep row (fixed points shared across rows) is the same row
+    swept = convergence_sweep(p, config, [n], reference=ref).rows[0]
+    assert [swept.l2_e, swept.linf_e, swept.l2_estar, swept.linf_estar] == got
+
+
+def test_sweep_interpolates_reference_at_fixed_points_once(monkeypatch):
+    import muntzvide.analysis as analysis
+
+    calls = []
+
+    def counting(grid, values, theta):
+        calls.append((grid, np.shape(values), np.size(theta)))
+        return interpolate(grid, values, theta)
+
+    monkeypatch.setattr(analysis, "interpolate", counting)
+    p = make_example("5.4")
+    config = SolverConfig(linf_points=301)
+    ref = reference_solution(p, config, 16)
+    n_list = [4, 6, 8, 10]
+    convergence_sweep(p, config, n_list, reference=ref)
+    on_ref = [size for grid, _, size in calls if grid is ref.grid]
+    # once at the 200 L2 nodes and 301 sup-norm points, then at each row's grid
+    assert on_ref == [200 + 301] + [n + 1 for n in n_list]
+    # each row evaluates (u, u*) in one two-channel call at all its points
+    on_rows = [(shape, size) for grid, shape, size in calls if grid is not ref.grid]
+    assert on_rows == [((n + 1, 2), 200 + 301 + n + 1) for n in n_list]
+    # a second sweep evaluates the reference again: nothing is kept between calls
+    calls.clear()
+    convergence_sweep(p, config, n_list[:1], reference=ref)
+    assert [size for grid, _, size in calls if grid is ref.grid] == [200 + 301, 5]

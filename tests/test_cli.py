@@ -212,6 +212,22 @@ def test_main_subcommand_and_set_overrides(tmp_path, capsys):
     assert "N=  6" in capsys.readouterr().out
 
 
+def test_consecutive_main_calls_do_not_share_overrides(tmp_path, monkeypatch):
+    # the parser is built once per process; each call's --set list is its own
+    import muntzvide.cli as cli
+
+    specs = []
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = 5.1\nN = 4\n")
+    assert main(["sweep", "--config", str(cfg), "--set", "N=6", "--set", "alpha=0"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--set", "beta=0"]) == 0
+    assert main(["compare", "--config", str(cfg), "--set", "ref_N=9"]) == 0
+    assert [s.n_values for s in specs] == [(6,), (4,), (4,)]
+    assert [(s.alpha, s.beta) for s in specs] == [(0.0, -0.5), (-0.5, 0.0), (-0.5, -0.5)]
+    assert [(s.mode, s.ref_n) for s in specs] == [("sweep", None), ("sweep", None), ("compare", 9)]
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("problem = 5.1\n")

@@ -357,3 +357,18 @@ def test_non_finite_system_is_a_failed_sweep_row():
     assert all("non-finite" in row.message for row in table.rows)
     with pytest.raises(SingularSystemError, match="non-finite"):
         solve(assembled(p, 4, 0.5)[1])
+
+
+def test_non_finite_forcing_is_a_failed_sweep_row():
+    # the matrix is finite but f1 is NaN on half the interval: the solve must
+    # not return NaN nodal values as a successful row
+    p = VideProblem(
+        a1=lambda t: 0.0, b1=lambda t: 0.0,
+        f1=lambda t: np.where(t < 0.5, np.nan, 1.0), k1=lambda t, s: 0.0, k2=lambda t, s: 0.0,
+        mu=0.5, eps=0.5, T=1.0, y0=0.0, exact=lambda t: t, exact_deriv=lambda t: 1.0,
+    )
+    table = convergence_sweep(p, SolverConfig(), [4, 6])
+    assert [row.failed for row in table.rows] == [True, True]
+    assert all("right-hand side has non-finite" in row.message for row in table.rows)
+    with pytest.raises(SingularSystemError, match="right-hand side"):
+        solve(assembled(p, 4, 0.5)[1])

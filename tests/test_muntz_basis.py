@@ -192,3 +192,28 @@ def test_basis_product_snaps_nodes_and_broadcasts_weights():
     z = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.9]])
     w = np.array([0.5, -1.0, 2.0])
     assert np.array_equal(basis_product(grid, w, z), basis_product(grid, np.tile(w, (2, 1)), z))
+
+
+@pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
+def test_multichannel_interpolate_equals_per_channel_calls(n, lam):
+    grid = build_grid(n, -0.5, -0.5, lam)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n + 1, 3))
+    near = (grid.z_points[[1, n // 2]] + 1e-16) ** (1.0 / lam)  # within rounding of a node
+    thetas = np.concatenate([grid.points, near, [0.0, np.nan, 1.0], rng.uniform(0.0, 1.0, 4)])
+    for theta in (thetas, thetas[-12:].reshape(3, 4), thetas[-1], 0.0):
+        got = interpolate(grid, values, theta)
+        assert got.shape == np.shape(theta) + (3,)
+        want = np.stack([interpolate(grid, values[:, c], theta) for c in range(3)], axis=-1)
+        # one matrix product for all channels accumulates in another order
+        finite = np.isfinite(want)
+        atol = 1e-14 * np.abs(want[finite]).max()
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=atol)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+    got = interpolate(grid, values, thetas)
+    # node hits and near-hits take the nodal values exactly; NaN stays NaN
+    assert np.array_equal(got[: n + 1], values)
+    assert np.array_equal(got[n + 1 : n + 3], values[[1, n // 2]])
+    assert np.isnan(got[n + 4]).all() and np.isfinite(got[n + 3]).all()
+    with pytest.raises(ValueError):
+        interpolate(grid, np.ones((n + 2, 2)), thetas)

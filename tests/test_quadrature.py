@@ -6,7 +6,6 @@ import pytest
 from muntzvide import (
     beta,
     gauss_jacobi,
-    muntz_weight,
     singular_ratio,
     to_fractional,
 )
@@ -222,18 +221,9 @@ def test_spec_moment_example():
 # --- weight function ---------------------------------------------------------
 
 
-def test_muntz_weight_unit_case():
-    for theta in (0.1, 0.5, 0.9):
-        assert muntz_weight(theta, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_muntz_weight_hand_value():
-    # alpha=0, beta=0, lam=1/2: (1/2) * theta^(-1/2); at theta=1/4 this is 1
-    assert muntz_weight(0.25, 0.0, 0.0, 0.5) == pytest.approx(1.0, rel=1e-15)
-
-
 @pytest.mark.parametrize("alpha,beta_,lam", [(0.0, 0.0, 0.5), (-0.5, 1.0, 0.5), (-1.0 / 3.0, 2.0, 1.0 / 3.0)])
-def test_muntz_weight_total_mass(alpha, beta_, lam):
+def test_fractional_weights_total_mass(alpha, beta_, lam):
+    # the Muntz weight lam (1-theta^lam)^alpha theta^((beta+1) lam - 1) has
     # int_0^1 weight(theta) dtheta = B(beta+1, alpha+1): tanh-sinh quadrature
     # handles the endpoint singularities independently of our rules (the
     # integrand is rebuilt in mpf arithmetic; tanh-sinh abscissas underflow
