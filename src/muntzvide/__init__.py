@@ -11,7 +11,6 @@ from .analysis import (
     InsufficientDataError,
     RateFit,
     RateReport,
-    ReferenceSolution,
     SolverConfig,
     SweepRow,
     convergence_sweep,
@@ -51,10 +50,10 @@ from .quadrature import (
     FractionalRule,
     QuadratureError,
     QuadratureRule,
+    beta,
     gauss_jacobi,
     singular_ratio,
     to_fractional,
 )
-from .specfun import beta
 
 __version__ = "0.1.0"

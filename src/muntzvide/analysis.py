@@ -9,8 +9,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collocation import SingularSystemError, assemble, solve
-from .muntz_basis import CollocationGrid, build_grid, interpolate
+from .collocation import DiscreteSolution, SingularSystemError, assemble, solve
+from .muntz_basis import build_grid, interpolate
 from .problem import (
     OracleDisagreement,
     VideProblem,
@@ -34,7 +34,6 @@ __all__ = [
     "convergence_sweep",
     "fit_rates",
     "reference_solution",
-    "ReferenceSolution",
 ]
 
 # uniform evaluation grids start here rather than at 0: the exact solutions
@@ -95,20 +94,6 @@ class RateFit:
 class RateReport:
     channels: dict[str, RateFit]
     classification: str
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceSolution:
-    """High-order solve standing in for an unknown exact solution.
-
-    Evaluate it with ``interpolate(ref.grid, ref.u, theta)`` (and ``ref.u_star``
-    for the derivative channel).
-    """
-
-    grid: CollocationGrid
-    u: np.ndarray
-    u_star: np.ndarray
-    n: int
 
 
 def _linf_points(grid_size: int) -> np.ndarray:
@@ -207,7 +192,7 @@ def convergence_sweep(
     problem: VideProblem,
     config: SolverConfig,
     n_list,
-    reference: Optional[ReferenceSolution] = None,
+    reference: Optional[DiscreteSolution] = None,
 ) -> ConvergenceTable:
     """One solve per N, with errors against the exact solution or a reference.
 
@@ -224,9 +209,9 @@ def convergence_sweep(
                 f"problem {problem.label or '<anonymous>'} has no exact solution; "
                 "supply a reference solution"
             )
-        if reference.n <= max(n_list):
+        if reference.grid.n <= max(n_list):
             raise ValueError(
-                f"reference order {reference.n} must exceed the largest sweep order {max(n_list)}"
+                f"reference order {reference.grid.n} must exceed the largest sweep order {max(n_list)}"
             )
     table = ConvergenceTable(
         meta={
@@ -305,7 +290,10 @@ def fit_rates(table: ConvergenceTable) -> RateReport:
     return RateReport(channels=channels, classification=channels["linf_e"].classification)
 
 
-def reference_solution(problem: VideProblem, config: SolverConfig, n_ref: int) -> ReferenceSolution:
-    """High-N solve whose interpolant stands in for the exact solution."""
-    grid, sol, _ = solve_once(problem, n_ref, config)
-    return ReferenceSolution(grid=grid, u=sol.u, u_star=sol.u_star, n=n_ref)
+def reference_solution(problem: VideProblem, config: SolverConfig, n_ref: int) -> DiscreteSolution:
+    """High-N solve whose interpolant stands in for the exact solution.
+
+    Evaluate it with ``interpolate(ref.grid, ref.u, theta)`` (and ``ref.u_star``
+    for the derivative channel).
+    """
+    return solve_once(problem, n_ref, config)[1]

@@ -370,13 +370,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    extra = [f"mode = {args.command}"]
+    extra = []
     for item in args.set:
         if "=" not in item:
             print(f"error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
             return 2
         key, _, value = item.partition("=")
         extra.append(f"{key.strip()} = {value.strip()}")
+    extra.append(f"mode = {args.command}")  # last, so the subcommand wins over --set
     try:
         spec = parse_config(text + "\n" + "\n".join(extra) + "\n")
         return run(spec)

@@ -36,8 +36,6 @@ _SNAP_TOL = 1e-15
 class CollocationGrid:
     n: int
     lam: float
-    alpha: float
-    beta: float
     points: np.ndarray
     z_points: np.ndarray
     bary_weights: np.ndarray
@@ -64,8 +62,6 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
     return CollocationGrid(
         n=n,
         lam=lam,
-        alpha=alpha,
-        beta=beta,
         points=frac.nodes,
         z_points=z,
         bary_weights=bary,

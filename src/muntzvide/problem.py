@@ -38,8 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import gauss_jacobi, singular_ratio, to_fractional
-from .specfun import beta as beta_fn
+from .quadrature import beta, gauss_jacobi, singular_ratio, to_fractional
 
 __all__ = [
     "VideProblem",
@@ -308,6 +307,24 @@ def _with_forcing(skeleton: VideProblem, printed: Optional[ArrayFn], forcing: st
     raise ValueError(f"forcing must be 'corrected' or 'printed', got {forcing!r}")
 
 
+def _skeleton(label: str, g: ArrayFn, y: ArrayFn, yp: ArrayFn, mu: float, eps: float, T: float) -> VideProblem:
+    """The equation shared by 5.1-5.3: a1 = -1, b1 = 1, K1 = -g(s), K2 = g(s), y0 = 0."""
+    return VideProblem(
+        a1=lambda t: -1.0,
+        b1=lambda t: 1.0,
+        f1=None,
+        k1=lambda t, s: -g(s),
+        k2=lambda t, s: g(s),
+        mu=mu,
+        eps=eps,
+        T=T,
+        y0=0.0,
+        exact=y,
+        exact_deriv=yp,
+        label=label,
+    )
+
+
 def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:
     """Exponentially damped kernels, exact solution y(t) = t exp(-t^(1-mu))."""
     om = 1.0 - mu
@@ -318,22 +335,9 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
     def yp(t):
         return np.exp(-(t**om)) * (1.0 - om * t**om)
 
-    skeleton = VideProblem(
-        a1=lambda t: -1.0,
-        b1=lambda t: 1.0,
-        f1=None,
-        k1=lambda t, s: -np.exp(s**om),
-        k2=lambda t, s: np.exp(s**om),
-        mu=mu,
-        eps=eps,
-        T=T,
-        y0=0.0,
-        exact=y,
-        exact_deriv=yp,
-        label="5.1",
-    )
+    skeleton = _skeleton("5.1", lambda s: np.exp(s**om), y, yp, mu, eps, T)
 
-    b = beta_fn(om, 2.0)
+    b = beta(om, 2.0)
 
     def printed(t):
         # circulated closed form; the Beta-term factor reads (1 + e^(2-mu))
@@ -356,22 +360,9 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
     def yp(t):
         return t ** (1.0 - mu) * np.exp(-t) * (2.0 - mu - t)
 
-    skeleton = VideProblem(
-        a1=lambda t: -1.0,
-        b1=lambda t: 1.0,
-        f1=None,
-        k1=lambda t, s: -np.exp(s),
-        k2=lambda t, s: np.exp(s),
-        mu=mu,
-        eps=eps,
-        T=T,
-        y0=0.0,
-        exact=y,
-        exact_deriv=yp,
-        label="5.2",
-    )
+    skeleton = _skeleton("5.2", np.exp, y, yp, mu, eps, T)
 
-    b = beta_fn(1.0 - mu, 3.0 - mu)
+    b = beta(1.0 - mu, 3.0 - mu)
 
     def printed(t):
         return (
@@ -396,23 +387,10 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
             t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t)
         )
 
-    skeleton = VideProblem(
-        a1=lambda t: -1.0,
-        b1=lambda t: 1.0,
-        f1=None,
-        k1=lambda t, s: -np.exp(s),
-        k2=lambda t, s: np.exp(s),
-        mu=mu,
-        eps=eps,
-        T=T,
-        y0=0.0,
-        exact=y,
-        exact_deriv=yp,
-        label="5.3",
-    )
+    skeleton = _skeleton("5.3", np.exp, y, yp, mu, eps, T)
 
-    b1_ = beta_fn(1.0 - mu, w1 + 2.0)
-    b2_ = beta_fn(1.0 - mu, w2 + 2.0)
+    b1_ = beta(1.0 - mu, w1 + 2.0)
+    b2_ = beta(1.0 - mu, w2 + 2.0)
 
     def printed(t):
         return (

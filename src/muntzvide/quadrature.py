@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .specfun import beta as beta_fn
-
 __all__ = [
+    "beta",
     "QuadratureError",
     "QuadratureRule",
     "FractionalRule",
@@ -37,6 +36,23 @@ __all__ = [
 
 # rules kept by gauss_jacobi; a sweep over N needs three per N plus its L2 rule
 _RULE_CACHE_SIZE = 128
+
+
+def beta(a: float, b: float) -> float:
+    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0.
+
+    It sets the total mass mu0 of every Gauss rule, so its accuracy bounds
+    the exactness checks of the whole rule hierarchy.  Evaluated in log
+    space, so large parameters (the weighted norms use exponents like
+    m + 1/lam - 1) cannot overflow intermediate Gammas.
+    """
+    if not (a > 0 and b > 0):
+        raise ValueError(f"beta requires positive arguments, got ({a}, {b})")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+# gauss_jacobi's exponent parameter shadows the name
+_beta_fn = beta
 
 
 class QuadratureError(RuntimeError):
@@ -109,7 +125,7 @@ def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     if npts < 1:
         raise ValueError(f"need at least one point, got {npts}")
     _validate_exponents(alpha, beta)
-    mu0 = 2.0 ** (alpha + beta + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
+    mu0 = 2.0 ** (alpha + beta + 1.0) * _beta_fn(alpha + 1.0, beta + 1.0)
     diag, off = _recurrence(npts, alpha, beta)
     try:
         nodes, vecs = eigh_tridiagonal(diag, off)
@@ -157,23 +173,10 @@ def singular_ratio(xi, lam: float, mu: float):
 
     Near xi = 1 both numerator and denominator vanish (the ratio tends to
     1/lam, so the value tends to lam^mu); the direct formula loses every
-    digit there.  For xi >= 1/2 the power is taken through expm1/log so the
-    cancellation never happens.
+    digit there.  Taking both factors through expm1/log1p avoids the
+    cancellation on all of (0, 1).
     """
     if mu == 0.0 or lam == 1.0:
         return 1.0 if np.ndim(xi) == 0 else np.ones_like(np.asarray(xi, dtype=float))
-    scalar = np.ndim(xi) == 0
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty_like(xi)
-    lo = xi < 0.5
-    if lo.any():
-        x = xi[lo]
-        out[lo] = ((1.0 - x ** (1.0 / lam)) / (1.0 - x)) ** -mu
-    hi = ~lo
-    if hi.any():
-        x = xi[hi]
-        one_minus = 1.0 - x  # exact for x >= 1/2
-        log_pow = np.log(x) / lam
-        one_minus_pow = -np.expm1(log_pow)  # 1 - x^(1/lam) without cancellation
-        out[hi] = np.exp(-mu * (np.log(one_minus_pow) - np.log(one_minus)))
-    return float(out[0]) if scalar else out
+    xi = np.asarray(xi, dtype=float)
+    return np.exp(-mu * (np.log(-np.expm1(np.log(xi) / lam)) - np.log1p(-xi)))[()]

@@ -212,6 +212,15 @@ def test_main_subcommand_and_set_overrides(tmp_path, capsys):
     assert "N=  6" in capsys.readouterr().out
 
 
+def test_subcommand_wins_over_set_mode(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "main.csv"
+    cfg.write_text(f"problem = 5.1\nN = 4:8:2\noutput = {out}\nlinf_grid = 301\n")
+    assert main(["sweep", "--config", str(cfg), "--set", "mode=solve"]) == 0
+    assert (tmp_path / "main.plot.dat").is_file()
+    assert not (tmp_path / "main.nodes.csv").exists()
+
+
 def test_consecutive_main_calls_do_not_share_overrides(tmp_path, monkeypatch):
     # the parser is built once per process; each call's --set list is its own
     import muntzvide.cli as cli

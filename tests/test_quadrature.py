@@ -276,6 +276,23 @@ def test_ratio_agrees_with_naive_formula_at_benign_points():
         assert singular_ratio(xi, lam, mu) == pytest.approx(naive, rel=1e-13)
 
 
+@pytest.mark.parametrize("lam,mu", [(0.5, 0.5), (1.0 / 3.0, 1.0 / 3.0), (1.0 / 16.0, 15.0 / 16.0)])
+def test_ratio_matches_extended_precision_over_whole_domain(lam, mu):
+    # 40-digit reference at the exact float arguments: tiny xi, xi = 1 - 10^-k
+    # up to the last representable digits, and interior points on both sides
+    # of 1/2
+    mp = pytest.importorskip("mpmath")
+    xi = np.concatenate(
+        [np.logspace(-300, -1, 40), 1.0 - 10.0 ** -np.arange(1, 16), [0.2, 0.45, 0.5, 0.55, 0.8]]
+    )
+    got = singular_ratio(xi, lam, mu)
+    with mp.workdps(40):
+        for x, g in zip(xi, got):
+            x = mp.mpf(float(x))
+            want = ((1 - x ** (1 / mp.mpf(lam))) / (1 - x)) ** -mp.mpf(mu)
+            assert abs(g - want) <= 1e-14 * want, float(x)
+
+
 # --- large-n weights against an extended-precision closed form ------------------
 
 
