@@ -21,6 +21,7 @@ from .problem import (
 from .quadrature import QuadratureError, gauss_jacobi, to_fractional
 
 __all__ = [
+    "SOLVER_ERRORS",
     "SolverConfig",
     "SweepRow",
     "ConvergenceTable",
@@ -41,6 +42,10 @@ __all__ = [
 _LINF_LEFT = 1e-12
 
 _FIT_CHANNELS = ("l2_e", "linf_e", "l2_estar", "linf_estar")
+
+# the solver's own failures: a rule that does not converge, a singular
+# system, disagreeing forcing oracles
+SOLVER_ERRORS = (QuadratureError, SingularSystemError, OracleDisagreement)
 
 
 class InsufficientDataError(ValueError):
@@ -196,9 +201,8 @@ def convergence_sweep(
 ) -> ConvergenceTable:
     """One solve per N, with errors against the exact solution or a reference.
 
-    A solve that fails with one of the solver's own errors (a rule that does
-    not converge, a singular system, disagreeing forcing oracles) marks its
-    row instead of aborting the sweep; any other exception propagates.
+    A solve that fails with one of ``SOLVER_ERRORS`` marks its row instead
+    of aborting the sweep; any other exception propagates.
     """
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -231,7 +235,7 @@ def convergence_sweep(
         try:
             grid, sol, runtime_ms = solve_once(problem, n, config)
             row = _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed)
-        except (QuadratureError, SingularSystemError, OracleDisagreement) as exc:
+        except SOLVER_ERRORS as exc:
             row = SweepRow(
                 n=n,
                 l2_e=math.nan,

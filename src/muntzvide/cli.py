@@ -12,6 +12,11 @@ The results CSV always has the header ``N,l2_e,linf_e,l2_estar,linf_estar,
 runtime_ms`` with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
 byte-identical files; set ``timing = on`` for wall-clock values.
+
+Each config key is declared once, on its ``RunSpec`` field.  Exit status: 0
+when every row succeeded, 1 when a sweep row failed or a ``solve`` or
+``compare`` solve raised a solver error (one ``error:`` line, no CSV), 2 for
+a configuration error.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .analysis import (
+    SOLVER_ERRORS,
     ConvergenceTable,
     SolverConfig,
     SweepRow,
@@ -48,7 +54,6 @@ __all__ = [
 CSV_HEADER = "N,l2_e,linf_e,l2_estar,linf_estar,runtime_ms"
 
 MODES = ("solve", "sweep", "compare")
-FORCINGS = ("corrected", "printed")
 
 # named coefficients for inline (problem = custom) definitions; like every
 # problem callable they take and return numpy arrays
@@ -71,32 +76,6 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-@dataclass
-class RunSpec:
-    mode: str
-    problem: str
-    n_values: tuple[int, ...]
-    lam: Optional[float] = None
-    alpha: float = -0.5
-    beta: float = -0.5
-    forcing: str = "corrected"
-    output: str = "results.csv"
-    linf_grid: int = 2001
-    l2_quad: Optional[int] = None
-    ref_n: Optional[int] = None
-    eps: Optional[float] = None
-    mu: Optional[float] = None
-    horizon: Optional[float] = None
-    y0: Optional[float] = None
-    a1: Optional[str] = None
-    b1: Optional[str] = None
-    f1: Optional[str] = None
-    k1: Optional[str] = None
-    k2: Optional[str] = None
-    timing: bool = False
-
-
-# config key -> (RunSpec field, parser)
 def _parse_n_values(text: str) -> tuple[int, ...]:
     if ":" in text:
         parts = text.split(":")
@@ -123,36 +102,48 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected on/off")
 
 
-_KEY_TABLE = {
-    "mode": ("mode", str),
-    "problem": ("problem", str),
-    "N": ("n_values", _parse_n_values),
-    "lambda": ("lam", float),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "forcing": ("forcing", str),
-    "output": ("output", str),
-    "linf_grid": ("linf_grid", int),
-    "l2_quad": ("l2_quad", int),
-    "ref_N": ("ref_n", int),
-    "eps": ("eps", float),
-    "mu": ("mu", float),
-    "T": ("horizon", float),
-    "y0": ("y0", float),
-    "a1": ("a1", str),
-    "b1": ("b1", str),
-    "f1": ("f1", str),
-    "K1": ("k1", str),
-    "K2": ("k2", str),
-    "timing": ("timing", _parse_bool),
-}
+def _choice(*options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {options}, got {text!r}")
+        return text
 
-_REQUIRED_KEYS = ("mode", "problem", "N")
-_CUSTOM_ONLY_KEYS = ("a1", "b1", "f1", "K1", "K2")
+    return parse
+
+
+def _key(name: str, parse, default=MISSING, custom_only: bool = False):
+    """A RunSpec field read from config key ``name``; no default means required."""
+    return field(default=default, metadata={"key": name, "parse": parse, "custom_only": custom_only})
+
+
+@dataclass
+class RunSpec:
+    mode: str = _key("mode", _choice(*MODES))
+    problem: str = _key("problem", _choice("custom", *EXAMPLE_KEYS))
+    n_values: tuple[int, ...] = _key("N", _parse_n_values)
+    lam: Optional[float] = _key("lambda", float, None)
+    alpha: float = _key("alpha", float, SolverConfig.alpha)
+    beta: float = _key("beta", float, SolverConfig.beta)
+    forcing: Optional[str] = _key("forcing", _choice("corrected", "printed"), None)
+    output: str = _key("output", str, "results.csv")
+    linf_grid: int = _key("linf_grid", int, SolverConfig.linf_points)
+    l2_quad: Optional[int] = _key("l2_quad", int, None)
+    ref_n: Optional[int] = _key("ref_N", int, None)
+    eps: Optional[float] = _key("eps", float, None)
+    mu: Optional[float] = _key("mu", float, None)
+    horizon: Optional[float] = _key("T", float, None)
+    y0: Optional[float] = _key("y0", float, None)
+    a1: Optional[str] = _key("a1", _choice(*_COEFFS), None, custom_only=True)
+    b1: Optional[str] = _key("b1", _choice(*_COEFFS), None, custom_only=True)
+    f1: Optional[str] = _key("f1", _choice(*_COEFFS), None, custom_only=True)
+    k1: Optional[str] = _key("K1", _choice(*_KERNELS), None, custom_only=True)
+    k2: Optional[str] = _key("K2", _choice(*_KERNELS), None, custom_only=True)
+    timing: bool = _key("timing", _parse_bool, False)
 
 
 def parse_config(text: str) -> RunSpec:
     """Parse and validate a flat key = value configuration."""
+    by_key = {f.metadata["key"]: f for f in fields(RunSpec)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -162,39 +153,35 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TABLE:
+        if key not in by_key:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         raw[key] = value  # last occurrence wins
 
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    missing = [k for k, f in by_key.items() if f.default is MISSING and k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     kwargs = {}
     for key, value in raw.items():
-        attr, parser = _KEY_TABLE[key]
+        f = by_key[key]
         try:
-            kwargs[attr] = parser(value)
+            kwargs[f.name] = f.metadata["parse"](value)
         except ValueError as exc:
             raise ConfigError(f"invalid value for key {key!r}: {exc}") from exc
+    if kwargs["problem"] != "custom":
+        for key in raw:
+            if by_key[key].metadata["custom_only"]:
+                raise ConfigError(f"key {key!r} is only valid with problem = custom")
     spec = RunSpec(**kwargs)
     _validate(spec)
     return spec
 
 
 def _validate(spec: RunSpec) -> None:
-    if spec.mode not in MODES:
-        raise ConfigError(f"key 'mode' must be one of {MODES}, got {spec.mode!r}")
-    if spec.problem != "custom" and spec.problem not in EXAMPLE_KEYS:
-        raise ConfigError(
-            f"key 'problem' must be 'custom' or one of {EXAMPLE_KEYS}, got {spec.problem!r}"
-        )
     if spec.lam is not None and not 0.0 < spec.lam <= 1.0:
         raise ConfigError(f"key 'lambda' must lie in (0, 1], got {spec.lam}")
-    if spec.forcing not in FORCINGS:
-        raise ConfigError(f"key 'forcing' must be one of {FORCINGS}, got {spec.forcing!r}")
     if spec.linf_grid < 2:
         raise ConfigError(f"key 'linf_grid' must be >= 2, got {spec.linf_grid}")
     if spec.l2_quad is not None and spec.l2_quad < 1:
@@ -211,54 +198,26 @@ def _validate(spec: RunSpec) -> None:
     if spec.problem == "custom":
         if spec.mu is None:
             raise ConfigError("custom problems require key 'mu'")
-        for key in ("a1", "b1", "f1"):
-            value = getattr(spec, key)
-            if value is not None and value not in _COEFFS:
-                raise ConfigError(
-                    f"key {key!r} must name one of {sorted(_COEFFS)}, got {value!r}"
-                )
-        for key in ("k1", "k2"):
-            value = getattr(spec, key)
-            if value is not None and value not in _KERNELS:
-                raise ConfigError(
-                    f"key {key.upper()!r} must name one of {sorted(_KERNELS)}, got {value!r}"
-                )
-    else:
-        for key in _CUSTOM_ONLY_KEYS:
-            attr = _KEY_TABLE[key][0]
-            if getattr(spec, attr) is not None:
-                raise ConfigError(f"key {key!r} is only valid with problem = custom")
+        if spec.forcing is not None:
+            raise ConfigError("key 'forcing' picks a registry forcing; custom problems take 'f1'")
 
 
 def build_problem(spec: RunSpec) -> VideProblem:
-    if spec.problem == "custom":
-        return VideProblem(
-            a1=_COEFFS[spec.a1 or "zero"],
-            b1=_COEFFS[spec.b1 or "zero"],
-            f1=_COEFFS[spec.f1 or "zero"],
-            k1=_KERNELS[spec.k1 or "zero"],
-            k2=_KERNELS[spec.k2 or "zero"],
-            mu=spec.mu,
-            eps=spec.eps if spec.eps is not None else 0.5,
-            T=spec.horizon if spec.horizon is not None else 1.0,
-            y0=spec.y0 if spec.y0 is not None else 0.0,
-            label="custom",
+    if spec.problem != "custom":
+        return make_example(
+            spec.problem, mu=spec.mu, eps=spec.eps, T=spec.horizon, y0=spec.y0, forcing=spec.forcing
         )
-    overrides = {"mu": spec.mu, "eps": spec.eps, "T": spec.horizon, "forcing": spec.forcing}
-    if spec.problem == "5.4":
-        overrides["y0"] = spec.y0
-    elif spec.y0 is not None:
-        raise ConfigError("key 'y0' is only adjustable for problem 5.4 or custom")
-    return make_example(spec.problem, **overrides)
-
-
-def build_solver_config(spec: RunSpec) -> SolverConfig:
-    return SolverConfig(
-        lam=spec.lam,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        l2_points=spec.l2_quad,
-        linf_points=spec.linf_grid,
+    return VideProblem(
+        a1=_COEFFS[spec.a1 or "zero"],
+        b1=_COEFFS[spec.b1 or "zero"],
+        f1=_COEFFS[spec.f1 or "zero"],
+        k1=_KERNELS[spec.k1 or "zero"],
+        k2=_KERNELS[spec.k2 or "zero"],
+        mu=spec.mu,
+        eps=spec.eps if spec.eps is not None else 0.5,
+        T=spec.horizon if spec.horizon is not None else 1.0,
+        y0=spec.y0 if spec.y0 is not None else 0.0,
+        label="custom",
     )
 
 
@@ -304,7 +263,13 @@ def _write_nodal_dump(grid, sol, path: Path) -> None:
 def run(spec: RunSpec) -> int:
     """Execute a run spec; returns the process exit status."""
     problem = build_problem(spec)
-    config = build_solver_config(spec)
+    config = SolverConfig(
+        lam=spec.lam,
+        alpha=spec.alpha,
+        beta=spec.beta,
+        l2_points=spec.l2_quad,
+        linf_points=spec.linf_grid,
+    )
     out = Path(spec.output)
 
     if spec.mode == "solve":
@@ -381,9 +346,9 @@ def main(argv=None) -> int:
     try:
         spec = parse_config(text + "\n" + "\n".join(extra) + "\n")
         return run(spec)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, *SOLVER_ERRORS) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SOLVER_ERRORS) else 2
 
 
 if __name__ == "__main__":

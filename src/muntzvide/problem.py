@@ -31,6 +31,7 @@ shape for callers that need a full array.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -97,8 +98,10 @@ class VideProblem:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not math.isfinite(self.y0):
+            raise ValueError(f"y0 must be finite, got {self.y0}")
         if self.lam is None:
             object.__setattr__(self, "lam", default_lambda(self.mu))
 
@@ -404,7 +407,7 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
     return _with_forcing(skeleton, printed, forcing)
 
 
-def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 3.0, forcing: str = "corrected") -> VideProblem:
+def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 3.0) -> VideProblem:
     """No closed-form solution; compared against a high-order reference run."""
     return VideProblem(
         a1=np.cos,
@@ -429,9 +432,17 @@ _FACTORIES = {
 
 
 def make_example(key: str, **overrides) -> VideProblem:
-    """Build a registry problem, optionally overriding mu/eps/T (and y0 for 5.4)."""
+    """Build a registry problem with the given overrides; None keeps the default.
+
+    The example's factory signature says which overrides it takes; any other
+    raises ``ValueError``.
+    """
     if key not in _FACTORIES:
         raise KeyError(f"unknown example {key!r}; choose from {EXAMPLE_KEYS}")
+    factory = _FACTORIES[key]
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return _FACTORIES[key](**kwargs)
+    unknown = sorted(kwargs.keys() - inspect.signature(factory).parameters.keys())
+    if unknown:
+        raise ValueError(f"example {key} does not take {', '.join(unknown)}")
+    return factory(**kwargs)
 

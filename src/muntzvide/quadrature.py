@@ -88,7 +88,7 @@ class FractionalRule:
 
 
 def _validate_exponents(alpha: float, beta: float) -> None:
-    if alpha <= -1.0 or beta <= -1.0:
+    if not (alpha > -1.0 and beta > -1.0):  # NaN fails too
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
 
 

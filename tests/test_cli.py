@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from muntzvide.cli import (
     _KERNELS,
     CSV_HEADER,
     ConfigError,
+    RunSpec,
     build_problem,
     emit_plot_data,
     main,
     parse_config,
     run,
 )
+from muntzvide.collocation import SingularSystemError
 
 SWEEP_52 = "problem = 5.2\nlambda = 0.333333333333\nN = 5:13:2\nmode = sweep\n"
 
@@ -82,6 +87,15 @@ def test_parse_custom_problem_keys():
         parse_config("mode = solve\nproblem = 5.1\nN = 6\na1 = one\n")
     with pytest.raises(ConfigError, match="mu"):
         parse_config("mode = solve\nproblem = custom\nN = 6\n")
+
+
+def test_readme_key_table_matches_runspec():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Recognized keys:", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        documented |= set(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert documented == {f.metadata["key"] for f in fields(RunSpec)}
 
 
 @pytest.mark.parametrize("name", sorted(_COEFFS))
@@ -243,3 +257,40 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "missing required keys" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    cfg.write_text(f"N = 4\nmu = 0.5\noutput = {out}\n")
+    for problem, key in [("5.4", "forcing=printed"), ("custom", "forcing=printed"), ("5.1", "y0=2")]:
+        argv = ["solve", "--config", str(cfg), "--set", f"problem={problem}", "--set", key]
+        assert main(argv) == 2
+        assert key.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_initial_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    cfg.write_text(f"problem = 5.4\nN = 4\ny0 = nan\noutput = {out}\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "y0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["solve", "compare"])
+def test_solver_error_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch, mode):
+    import muntzvide.cli as cli
+
+    def fail(*args, **kwargs):
+        raise SingularSystemError("singular collocation matrix", math.inf)
+
+    monkeypatch.setattr(cli, "solve_once", fail)
+    monkeypatch.setattr(cli, "reference_solution", fail)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    cfg.write_text(f"problem = 5.4\nN = 4\nref_N = 8\noutput = {out}\n")
+    assert main([mode, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: singular collocation matrix (condition estimate inf)"]
+    assert not out.exists()

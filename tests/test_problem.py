@@ -63,6 +63,10 @@ def test_problem_validation():
         mk(mu=0.5, eps=1.0, T=1.0, y0=0.0)
     with pytest.raises(ValueError):
         mk(mu=0.5, eps=0.5, T=0.0, y0=0.0)
+    with pytest.raises(ValueError, match="T must"):
+        mk(mu=0.5, eps=0.5, T=math.inf, y0=0.0)
+    with pytest.raises(ValueError, match="y0 must"):
+        mk(mu=0.5, eps=0.5, T=1.0, y0=math.nan)
 
 
 def test_problem_lambda_defaults_to_heuristic():
@@ -173,6 +177,12 @@ def test_make_example_overrides():
     assert p.eps == 0.25
     with pytest.raises(KeyError):
         make_example("9.9")
+    assert make_example("5.4", y0=2.0, forcing=None).y0 == 2.0  # None keeps the default
+    # the factory's signature says which overrides an example takes
+    with pytest.raises(ValueError, match="y0"):
+        make_example("5.1", y0=2.0)
+    with pytest.raises(ValueError, match="forcing"):
+        make_example("5.4", forcing="printed")
 
 
 def test_exact_phi_pair_scaling():

@@ -172,9 +172,15 @@ def test_repeat_rule_is_the_cached_object():
 
 
 def test_invalid_rule_requests_raise_on_every_call():
-    for args in [(0, 0.0, 0.0), (4, -1.5, 0.0), (4, 0.0, -1.0)]:
+    cases = [
+        ((0, 0.0, 0.0), "at least one point"),
+        ((4, -1.5, 0.0), "exceed -1"),
+        ((4, 0.0, -1.0), "exceed -1"),
+        ((4, math.nan, 0.0), "exceed -1"),
+    ]
+    for args, match in cases:
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 gauss_jacobi(*args)
 
 
