@@ -1,8 +1,8 @@
 """Config-driven command line front end.
 
 Configs are flat ``key = value`` files with ``#`` comments; the last
-occurrence of a key wins, which is what lets ``--set key=value`` overrides
-work by appending lines.  Three modes:
+occurrence of a key wins, so ``--set key=value`` overrides, read after the
+file, win over it.  Three modes:
 
     solve    one run at a single N; writes the results CSV plus a nodal dump
     sweep    one run per N in a range; writes the results CSV plus plot data
@@ -16,7 +16,7 @@ byte-identical files; set ``timing = on`` for wall-clock values.
 Each config key is declared once, on its ``RunSpec`` field.  Exit status: 0
 when every row succeeded, 1 when a sweep row failed or a ``solve`` or
 ``compare`` solve raised a solver error (one ``error:`` line, no CSV), 2 for
-a configuration error.
+a configuration error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -141,22 +141,27 @@ class RunSpec:
     timing: bool = _key("timing", _parse_bool, False)
 
 
-def parse_config(text: str) -> RunSpec:
-    """Parse and validate a flat key = value configuration."""
+def parse_config(text: str, overrides: Sequence[str] = ()) -> RunSpec:
+    """Parse and validate a flat key = value configuration.
+
+    ``overrides`` are ``key=value`` items read after the text, as ``--set``
+    gives them; an error in one names the item, not a line.
+    """
     by_key = {f.metadata["key"]: f for f in fields(RunSpec)}
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
+    for where, line in lines + [(f"--set {item}", item) for item in overrides]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if key not in by_key:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if not value:
-            raise ConfigError(f"line {lineno}: empty value for key {key!r}")
+            raise ConfigError(f"{where}: empty value for key {key!r}")
         raw[key] = value  # last occurrence wins
 
     missing = [k for k, f in by_key.items() if f.default is MISSING and k not in raw]
@@ -335,18 +340,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    extra = []
-    for item in args.set:
-        if "=" not in item:
-            print(f"error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 2
-        key, _, value = item.partition("=")
-        extra.append(f"{key.strip()} = {value.strip()}")
-    extra.append(f"mode = {args.command}")  # last, so the subcommand wins over --set
     try:
-        spec = parse_config(text + "\n" + "\n".join(extra) + "\n")
+        # the subcommand comes last, so it wins over --set mode=...
+        spec = parse_config(text, [*args.set, f"mode={args.command}"])
         return run(spec)
-    except (ValueError, *SOLVER_ERRORS) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, *SOLVER_ERRORS) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SOLVER_ERRORS) else 2
 

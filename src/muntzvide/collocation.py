@@ -12,6 +12,15 @@ weight (1-xi)^(-mu) xi^(1/lam - 1).  Two rule families appear:
       E, H, which are exact on the whole trial space (the integrands are
       polynomials of degree <= N in xi).
 
+The delayed rows D, H sample the basis at eps^lam z_i xi_k.  Each F_j is a
+degree-N polynomial in z, so F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y),
+and with the delay interpolation matrix L[l, j] = F_j(eps^lam z_l)
+
+    D = D~ L,   H = eps E L,
+
+where D~ is D at the undelayed points z_i xi_k of C.  Assembly thus builds
+Cauchy arrays only there: one for C and D~ (two channels), one for E.
+
 The three coupled relations
 
     U* = (A + C + D) U + B V + F,   U = U0 + E U*,   V = U0 + H U*
@@ -41,8 +50,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
-# rows of C, D, E, H are built in blocks holding at most this many entries of
-# the (rows, K, N+1) Cauchy array, which bounds the assembly's scratch memory
+# rows of C, D~ and E are built in blocks holding at most this many entries of
+# a (rows, K, N+1) Cauchy array, which bounds the assembly's scratch memory
 _BLOCK_ENTRIES = 2**16
 
 
@@ -99,8 +108,9 @@ def assemble(
     The rules enter in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
-    Rows are filled in blocks of at most ``_BLOCK_ENTRIES`` Cauchy entries
-    (see ``basis_product``); each kernel is called once per block, on the
+    Rows of C, D~ and E are filled in blocks of at most ``_BLOCK_ENTRIES``
+    Cauchy entries (see ``basis_product``), and D, H follow from D~, E by
+    two matrix products with L; each kernel is called once per block, on the
     broadcast (theta_i, eta_ik) arrays, and each coefficient once, on all
     grid points.
     """
@@ -118,10 +128,8 @@ def assemble(
     root_mu = quad_mu.nodes  # xi_k^(1/lam)
     eps_lam = eps**lam
 
-    C = np.empty((n1, n1))
-    D = np.empty((n1, n1))
+    CD = np.empty((2, n1, n1))  # C and D~, the undelayed D
     E = np.empty((n1, n1))
-    H = np.empty((n1, n1))
     step = max(1, _BLOCK_ENTRIES // (max(xi.size, xih.size) * n1))
     for start in range(0, n1, step):
         rows = slice(start, start + step)
@@ -130,10 +138,14 @@ def assemble(
         # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
         # endpoint-stable singular ratio, times the rule weight
         fac = (ti ** (1.0 - mu) / lam) * ratio * om
-        C[rows] = basis_product(grid, fac * scaled.kbar1(ti, eta), zi * xi)
-        D[rows] = basis_product(grid, fac * scaled.kbar2(ti, eps * eta), eps_lam * zi * xi)
+        kernels = np.stack((fac * scaled.kbar1(ti, eta), fac * scaled.kbar2(ti, eps * eta)))
+        CD[:, rows] = basis_product(grid, kernels, zi * xi)
         E[rows] = (ti / lam) * basis_product(grid, omh, zi * xih)
-        H[rows] = (eps * ti / lam) * basis_product(grid, omh, eps_lam * zi * xih)
+    # the delay interpolation matrix L[l, j] = F_j(eps^lam z_l) moves the
+    # undelayed rows to the delayed points (see the module docstring)
+    L = basis_product(grid, 1.0, (eps_lam * z)[:, None])
+    C, D = CD[0], CD[1] @ L
+    H = eps * (E @ L)
 
     A = np.diag(sample(scaled.a_t, theta))
     B = np.diag(sample(scaled.b_t, theta))
@@ -153,8 +165,9 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     """
     n1 = sysm.fvec.shape[0]
     G = sysm.A + sysm.C + sysm.D
-    M = np.eye(n1) - G @ sysm.E - sysm.B @ sysm.H
-    rhs = (G + sysm.B) @ sysm.u0 + sysm.fvec
+    b = np.diagonal(sysm.B)  # B is diagonal: B X scales the rows of X
+    M = np.eye(n1) - G @ sysm.E - b[:, None] * sysm.H
+    rhs = G @ sysm.u0 + b * sysm.u0 + sysm.fvec
     if not np.isfinite(M).all():
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
     if not np.isfinite(rhs).all():

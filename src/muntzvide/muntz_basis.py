@@ -110,21 +110,24 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
 def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
     """Row-wise ``v @ basis_matrix_z(grid, z)`` without forming the basis table.
 
-    ``z`` has shape (m, K) and ``v`` broadcasts to it; row r of the (m, N+1)
-    result is sum_k v[r, k] F_j(z[r, k]).  In the second barycentric form
+    ``z`` has shape (m, K) and ``v`` broadcasts to it, or to (c, m, K) for c
+    channels; row r of the (m, N+1) or (c, m, N+1) result is
+    sum_k v[..., r, k] F_j(z[r, k]).  In the second barycentric form
     F_j(z) = (w_j / (z - z_j)) / S(z) with S(z) = sum_l w_l / (z - z_l), so with
-    the Cauchy matrix R = 1 / (z - z_j) the product is w * ((v / S) @ R).
-    S(z) = 1 / prod_l (z - z_l) never vanishes.  A z within ``_SNAP_TOL`` of a
-    node adds its v to that node's column only.
+    the Cauchy matrix R = 1 / (z - z_j) the product is w * ((v / S) @ R); every
+    channel shares R and S.  S(z) = 1 / prod_l (z - z_l) never vanishes.  A z
+    within ``_SNAP_TOL`` of a node adds its v to that node's column only.
     """
     v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
     cauchy, near, snap = _cauchy(grid, z)
     w = grid.bary_weights
     coef = np.where(snap, 0.0, v / (cauchy @ w))
-    out = w * (coef[:, None, :] @ cauchy)[:, 0, :]
+    # (m, c, K) @ (m, K, N+1): one product per row for all channels
+    rows = coef.reshape(-1, *z.shape).transpose(1, 0, 2) @ cauchy
+    out = w * rows.transpose(1, 0, 2).reshape(coef.shape[:-1] + w.shape)
     if snap.any():
         r, k = np.nonzero(snap)
-        np.add.at(out, (r, near[r, k]), np.broadcast_to(v, z.shape)[r, k])
+        np.add.at(out, (..., r, near[r, k]), np.broadcast_to(v, coef.shape)[..., r, k])
     return out
 
 

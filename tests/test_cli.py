@@ -294,3 +294,29 @@ def test_solver_error_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch
     assert main([mode, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: singular collocation matrix (condition estimate inf)"]
     assert not out.exists()
+
+
+def test_unwritable_output_is_one_error_line_and_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "missing" / "x.csv"
+    cfg.write_text(f"problem = 5.1\nN = 4\nlinf_grid = 301\noutput = {out}\n")
+    for mode in ("solve", "sweep"):
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+    assert not out.parent.exists()
+
+
+def test_bad_override_is_named_not_numbered(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = 5.1\nN = 4\n")
+    for item, message in [
+        ("bogus=1", "error: --set bogus=1: unknown key 'bogus'"),
+        ("N", "error: --set N: expected 'key = value', got 'N'"),
+        ("N=", "error: --set N=: empty value for key 'N'"),
+    ]:
+        assert main(["sweep", "--config", str(cfg), "--set", item]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+    # a bad line of the file itself is still reported by its number
+    with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'"):
+        parse_config("problem = 5.1\nbogus = 1\n", ["N=4"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from muntzvide import (
     to_fractional,
 )
 from muntzvide.collocation import _BLOCK_ENTRIES
+from muntzvide.muntz_basis import basis_product
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -183,14 +185,14 @@ def rowwise_assembly(scaled, grid, qmu, qhat):
     return [np.array(m) for m in zip(*rows)]
 
 
-def kernel_problem(mu, constant=False):
+def kernel_problem(mu, constant=False, eps=0.6):
     if constant:  # as the CLI kernel tables write them
         k1, k2 = (lambda t, s: 1.0), (lambda t, s: -1.0)
     else:
         k1, k2 = (lambda t, s: np.cos(t - s) + s), (lambda t, s: np.exp(-t * s))
     return VideProblem(
         a1=np.cos, b1=lambda t: 0.5 + 0.0 * t, f1=np.sin, k1=k1, k2=k2,
-        mu=mu, eps=0.6, T=1.5, y0=1.0,
+        mu=mu, eps=eps, T=1.5, y0=1.0,
     )
 
 
@@ -206,6 +208,46 @@ def test_blocked_assembly_matches_rowwise_basis_tables(n, lam, mu, constant):
     want = rowwise_assembly(scale_to_unit(p), grid, *rules_for(n, mu, lam))
     for got, ref in zip((sysm.C, sysm.D, sysm.E, sysm.H), want):
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 0.999])
+@pytest.mark.parametrize("n, lam, mu", [(8, 0.5, 0.0), (40, 0.5, 0.5), (40, 1.0 / 3.0, 0.0)])
+def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
+    # D and H come from the undelayed rows through the delay interpolation
+    # matrix; eps = 1 lies outside VideProblem's range, so it is set on the
+    # scaled problem, the only place assembly reads it
+    scaled = dataclasses.replace(scale_to_unit(kernel_problem(mu, eps=min(eps, 0.999))), eps=eps)
+    grid = build_grid(n, -0.5, -0.5, lam)
+    rules = rules_for(n, mu, lam)
+    sysm = assemble(scaled, grid, *rules)
+    _, d_ref, _, h_ref = rowwise_assembly(scaled, grid, *rules)
+    for got, ref in ((sysm.D, d_ref), (sysm.H, h_ref)):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+    if eps == 1.0:
+        # at eps = 1 the delayed points are the nodes: L is exactly the identity
+        L = basis_product(grid, 1.0, (eps**lam * grid.z_points)[:, None])
+        assert np.array_equal(L, np.eye(n + 1))
+        assert np.array_equal(sysm.H, sysm.E)
+
+
+def test_assembly_builds_two_cauchy_arrays_and_the_delay_matrix(monkeypatch):
+    # C and the undelayed D share the quad_mu array, E has the quad_hat one and
+    # L one (N+1) x (N+1) array; D and H need no Cauchy array of their own
+    import muntzvide.muntz_basis as muntz_basis
+
+    entries = []
+    cauchy = muntz_basis._cauchy
+
+    def counting(grid, z):
+        out = cauchy(grid, z)
+        entries.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(muntz_basis, "_cauchy", counting)
+    for n in (8, 40):
+        entries.clear()
+        assembled(kernel_problem(0.5), n, 0.5)
+        assert sum(entries) == 2 * (n + 1) ** 2 * (n + 1) + (n + 1) ** 2
 
 
 def test_assembly_calls_each_kernel_once_per_block():

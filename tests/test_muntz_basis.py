@@ -195,6 +195,22 @@ def test_basis_product_snaps_nodes_and_broadcasts_weights():
 
 
 @pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
+def test_multichannel_basis_product_equals_per_channel_calls(n, lam):
+    grid = build_grid(n, -0.5, -0.5, lam)
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.0, 1.0, (5, n + 1))
+    z[0, :3] = grid.z_points[[0, n // 2, n]]  # node hits snap in every channel
+    z[1, 0] = grid.z_points[1] + 1e-16
+    v = rng.standard_normal((3,) + z.shape)
+    got = basis_product(grid, v, z)
+    assert got.shape == (3, 5, n + 1)
+    for c in range(3):
+        want = basis_product(grid, v[c], z)
+        # one matrix product for all channels accumulates in another order
+        np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
 def test_multichannel_interpolate_equals_per_channel_calls(n, lam):
     grid = build_grid(n, -0.5, -0.5, lam)
     rng = np.random.default_rng(n)
