@@ -14,6 +14,7 @@ from .muntz_basis import build_grid, interpolate
 from .problem import (
     OracleDisagreement,
     VideProblem,
+    default_lambda,
     exact_phi_pair,
     sample,
     scale_to_unit,
@@ -56,9 +57,9 @@ class InsufficientDataError(ValueError):
 class SolverConfig:
     """Knobs for a single solve or a sweep.
 
-    ``lam=None`` defers to the problem's recommended exponent.  The kernel
-    and integration rules have N+1 points (one per unknown), and the L2 norm
-    is weighted by the grid's (alpha, beta).
+    ``lam`` is the one basis-exponent setting; None uses default_lambda(mu).
+    The kernel and integration rules have N+1 points (one per unknown), and
+    the L2 norm is weighted by the grid's (alpha, beta).
     """
 
     lam: Optional[float] = None
@@ -146,7 +147,7 @@ def linf_error(
 
 
 def _resolve_lam(problem: VideProblem, config: SolverConfig) -> float:
-    return config.lam if config.lam is not None else problem.lam
+    return config.lam if config.lam is not None else default_lambda(problem.mu)
 
 
 def solve_once(problem: VideProblem, n: int, config: SolverConfig):
@@ -170,10 +171,11 @@ def _true_values(problem, reference, theta) -> np.ndarray:
     return interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
 
 
-def _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed: dict) -> SweepRow:
+def _error_row(problem, sol, config, reference, runtime_ms, fixed: dict) -> SweepRow:
     # the L2 nodes and the uniform sup-norm grid depend on N only through the
     # L2 size m: ``fixed`` keeps them and (phi, phi*) there under m
-    m = config.l2_points if config.l2_points is not None else max(4 * n, 200)
+    grid = sol.grid
+    m = config.l2_points if config.l2_points is not None else max(4 * grid.n, 200)
     if m not in fixed:
         rule = to_fractional(gauss_jacobi(m, config.alpha, config.beta), 1.0)
         theta = np.concatenate([rule.nodes, _linf_points(config.linf_points)])
@@ -185,12 +187,12 @@ def _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed: dict
     err = true - interpolate(grid, np.column_stack([sol.u, sol.u_star]), theta)
     l2 = _l2_norm(weights, err[:m]).tolist()
     linf = _sup_norm(err[m:]).tolist()
-    return SweepRow(n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
+    return SweepRow(grid.n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
 
 
-def error_row(problem, grid, sol, config, reference, n, runtime_ms) -> SweepRow:
-    """Sweep row for one solve, against the exact solution or ``reference``."""
-    return _error_row(problem, grid, sol, config, reference, n, runtime_ms, {})
+def error_row(problem, sol, config, reference, runtime_ms) -> SweepRow:
+    """Sweep row for ``sol`` at its grid and N, against the exact solution or ``reference``."""
+    return _error_row(problem, sol, config, reference, runtime_ms, {})
 
 
 def convergence_sweep(
@@ -233,8 +235,8 @@ def convergence_sweep(
     fixed: dict = {}
     for n in n_list:
         try:
-            grid, sol, runtime_ms = solve_once(problem, n, config)
-            row = _error_row(problem, grid, sol, config, reference, n, runtime_ms, fixed)
+            _, sol, runtime_ms = solve_once(problem, n, config)
+            row = _error_row(problem, sol, config, reference, runtime_ms, fixed)
         except SOLVER_ERRORS as exc:
             row = SweepRow(
                 n=n,

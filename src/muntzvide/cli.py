@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -257,9 +258,9 @@ def emit_plot_data(table: ConvergenceTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_nodal_dump(grid, sol, path: Path) -> None:
+def _write_nodal_dump(sol, path: Path) -> None:
     lines = ["theta,phi,phi_star"]
-    for theta, phi, phi_star in zip(grid.points, sol.u, sol.u_star):
+    for theta, phi, phi_star in zip(sol.grid.points, sol.u, sol.u_star):
         # shortest round-trip decimal form, full precision
         lines.append(f"{float(theta)!r},{float(phi)!r},{float(phi_star)!r}")
     path.write_text("\n".join(lines) + "\n")
@@ -267,6 +268,12 @@ def _write_nodal_dump(grid, sol, path: Path) -> None:
 
 def run(spec: RunSpec) -> int:
     """Execute a run spec; returns the process exit status."""
+    out = Path(spec.output)
+    # checked before any solve, so an unwritable output costs no run
+    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise ConfigError(
+            f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
+        )
     problem = build_problem(spec)
     config = SolverConfig(
         lam=spec.lam,
@@ -275,19 +282,17 @@ def run(spec: RunSpec) -> int:
         l2_points=spec.l2_quad,
         linf_points=spec.linf_grid,
     )
-    out = Path(spec.output)
 
     if spec.mode == "solve":
-        n = spec.n_values[0]
-        grid, sol, runtime_ms = solve_once(problem, n, config)
+        _, sol, runtime_ms = solve_once(problem, spec.n_values[0], config)
         if exact_phi_pair(problem) is not None:
-            row = error_row(problem, grid, sol, config, None, n, runtime_ms)
+            row = error_row(problem, sol, config, None, runtime_ms)
         else:
             # no exact solution to measure against in solve mode
             nan = math.nan
-            row = SweepRow(n, nan, nan, nan, nan, runtime_ms)
+            row = SweepRow(sol.grid.n, nan, nan, nan, nan, runtime_ms)
         table = ConvergenceTable(rows=[row])
-        _write_nodal_dump(grid, sol, out.with_suffix(".nodes.csv"))
+        _write_nodal_dump(sol, out.with_suffix(".nodes.csv"))
     elif spec.mode == "sweep":
         table = convergence_sweep(problem, config, spec.n_values)
     else:
@@ -309,27 +314,18 @@ def run(spec: RunSpec) -> int:
     return 0 if not any(r.failed for r in table.rows) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="muntzvide",
-        description="Spectral collocation runs for delay Volterra integro-differential equations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode, help=f"{mode} run")
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-    return parser
-
-
 # built once per process: parse_args leaves it unchanged
-_PARSER = _build_parser()
+_PARSER = argparse.ArgumentParser(
+    prog="muntzvide",
+    description="Spectral collocation runs for delay Volterra integro-differential equations",
+)
+# usage and error messages call the positional "command"; it sets the mode key
+_PARSER.add_argument("command", choices=MODES, help="run mode")
+_PARSER.add_argument("--config", required=True, help="path to a key = value config file")
+_PARSER.add_argument(
+    "--set", action="append", default=[], metavar="KEY=VALUE",
+    help="override a config key (repeatable)",
+)
 
 
 def main(argv=None) -> int:
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        # the subcommand comes last, so it wins over --set mode=...
+        # the positional mode comes last, so it wins over --set mode=...
         spec = parse_config(text, [*args.set, f"mode={args.command}"])
         return run(spec)
     except (ValueError, OSError, *SOLVER_ERRORS) as exc:  # ConfigError is a ValueError

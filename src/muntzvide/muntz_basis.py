@@ -55,7 +55,9 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
         raise ValueError(f"need n >= 1, got {n}")
     frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
     z = frac.z_nodes
-    diff = z[:, None] - z[None, :]
+    # differences in units of 1/4, the capacity of [0, 1], keep the products
+    # O(1) at large N; a power-of-two scale changes no interpolated value
+    diff = 4.0 * (z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / np.prod(diff, axis=1)
     bary.flags.writeable = False
@@ -115,7 +117,7 @@ def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
     sum_k v[..., r, k] F_j(z[r, k]).  In the second barycentric form
     F_j(z) = (w_j / (z - z_j)) / S(z) with S(z) = sum_l w_l / (z - z_l), so with
     the Cauchy matrix R = 1 / (z - z_j) the product is w * ((v / S) @ R); every
-    channel shares R and S.  S(z) = 1 / prod_l (z - z_l) never vanishes.  A z
+    channel shares R and S.  S(z) = 4^-N / prod_l (z - z_l) never vanishes.  A z
     within ``_SNAP_TOL`` of a node adds its v to that node's column only.
     """
     v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)

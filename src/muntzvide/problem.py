@@ -74,9 +74,7 @@ class VideProblem:
     """One equation instance on [0, T].
 
     ``k1``/``k2`` include any sign in front of their integral; ``exact`` and
-    ``exact_deriv`` are optional closed-form y and y'.  ``lam`` is the
-    recommended basis exponent for this problem; None means
-    ``default_lambda(mu)``.
+    ``exact_deriv`` are optional closed-form y and y'.
     """
 
     a1: ArrayFn
@@ -90,7 +88,6 @@ class VideProblem:
     y0: float
     exact: Optional[ArrayFn] = None
     exact_deriv: Optional[ArrayFn] = None
-    lam: Optional[float] = None
     label: str = ""
 
     def __post_init__(self):
@@ -102,8 +99,6 @@ class VideProblem:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if not math.isfinite(self.y0):
             raise ValueError(f"y0 must be finite, got {self.y0}")
-        if self.lam is None:
-            object.__setattr__(self, "lam", default_lambda(self.mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +198,9 @@ def _dyadic_rule(mu: float):
 
 
 @functools.lru_cache(maxsize=32)
-def _mapped_rule(mu: float, lam: float):
-    """Gauss-Jacobi rule for s = t * xi^(1/lam); it absorbs the singular weight."""
+def _mapped_rule(mu: float):
+    """Gauss-Jacobi rule in xi = (s/t)^lam, lam = default_lambda(mu); it absorbs the singular weight."""
+    lam = default_lambda(mu)
     rule = to_fractional(gauss_jacobi(_ORACLE_POINTS, -mu, 1.0 / lam - 1.0), lam)
     return rule.nodes, rule.weights * singular_ratio(rule.z_nodes, lam, mu) / lam
 
@@ -246,7 +242,7 @@ def manufactured_forcing(
     names the first t that fails.
     """
     mu, eps = skeleton.mu, skeleton.eps
-    mapped = _mapped_rule(mu, skeleton.lam)
+    mapped = _mapped_rule(mu)
 
     def f1(t):
         t = np.asarray(t, dtype=float)

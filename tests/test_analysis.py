@@ -283,7 +283,7 @@ def test_error_row_matches_four_callable_norms(key, n, lam, ref_n):
     config = SolverConfig(lam=lam)
     ref = reference_solution(p, config, ref_n) if ref_n is not None else None
     grid, sol, _ = solve_once(p, n, config)
-    row = error_row(p, grid, sol, config, ref, n, 1.0)
+    row = error_row(p, sol, config, ref, 1.0)
     got = [row.l2_e, row.linf_e, row.l2_estar, row.linf_estar]
     want = four_callable_row(p, grid, sol, config, ref, n)
     assert min(want) > 1e-9

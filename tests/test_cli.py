@@ -11,6 +11,7 @@ from muntzvide.cli import (
     _COEFFS,
     _KERNELS,
     CSV_HEADER,
+    MODES,
     ConfigError,
     RunSpec,
     build_problem,
@@ -305,6 +306,31 @@ def test_unwritable_output_is_one_error_line_and_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
     assert not out.parent.exists()
+
+
+def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    import muntzvide.analysis as analysis
+    import muntzvide.cli as cli
+
+    calls, original = [], analysis.solve_once
+    counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
+    monkeypatch.setattr(cli, "solve_once", counted)
+    monkeypatch.setattr(analysis, "solve_once", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = 5.1\nN = 4\nref_N = 8\noutput = {tmp_path / 'missing' / 'x.csv'}\n")
+    for mode in MODES:
+        assert main([mode, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+    assert calls == []
+
+
+def test_help_lists_the_modes_and_options(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "{solve,sweep,compare}" in out and "--config CONFIG" in out and "--set KEY=VALUE" in out
 
 
 def test_bad_override_is_named_not_numbered(tmp_path, capsys):

@@ -46,11 +46,24 @@ def test_half_lambda_points_are_powers():
 
 
 def test_bary_weights_are_inverse_products():
-    grid = build_grid(4, -0.5, -0.5, 0.5)
+    # each of the n differences is taken in units of 1/4, the capacity of [0, 1]
+    n = 4
+    grid = build_grid(n, -0.5, -0.5, 0.5)
     z = grid.z_points
-    for j in range(5):
-        prod = np.prod([z[j] - z[i] for i in range(5) if i != j])
-        assert grid.bary_weights[j] == pytest.approx(1.0 / prod, rel=1e-14)
+    for j in range(n + 1):
+        prod = np.prod([z[j] - z[i] for i in range(n + 1) if i != j])
+        assert grid.bary_weights[j] == pytest.approx(4.0**-n / prod, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [600, 1024])
+def test_large_n_weights_stay_finite_and_interpolate_exactly(n):
+    # unscaled, 1/prod(z_i - z_j) overflows to inf near N = 600
+    grid = build_grid(n, -0.5, -0.5, 0.5)  # RuntimeWarnings are errors here
+    assert np.isfinite(grid.bary_weights).all()
+    theta = np.linspace(0.0, 1.0, 97)
+    for k in (1, 7, n // 2, n):
+        got = interpolate(grid, grid.points ** (k * grid.lam), theta)
+        np.testing.assert_allclose(got, theta ** (k * grid.lam), rtol=0, atol=1e-12)
 
 
 def test_build_grid_validates():

@@ -6,6 +6,7 @@ import pytest
 from muntzvide import (
     EXAMPLE_KEYS,
     OracleDisagreement,
+    SolverConfig,
     VideProblem,
     beta,
     default_lambda,
@@ -15,6 +16,7 @@ from muntzvide import (
     scale_to_unit,
     scaled_residual,
     singular_integral,
+    solve_once,
 )
 from muntzvide.problem import sample
 
@@ -72,9 +74,9 @@ def test_problem_validation():
 def test_problem_lambda_defaults_to_heuristic():
     zero, kernel = (lambda t: 0.0), (lambda t, s: 0.0)
     kw = dict(a1=zero, b1=zero, f1=zero, k1=kernel, k2=kernel, eps=0.5, T=1.0, y0=0.0)
-    assert VideProblem(mu=0.75, **kw).lam == 0.25
-    assert VideProblem(mu=0.75, lam=0.5, **kw).lam == 0.5
-    assert make_example("5.2", mu=0.25).lam == 0.25
+    # the exponent a default-config solve uses; the grid records it
+    assert solve_once(VideProblem(mu=0.75, **kw), 4, SolverConfig())[0].lam == 0.25
+    assert solve_once(make_example("5.2", mu=0.25), 4, SolverConfig())[0].lam == 0.25
 
 
 def test_default_lambda_heuristic():
@@ -148,13 +150,13 @@ def test_registry_keys_and_parameters():
 
     p1 = reg["5.1"]
     assert (p1.mu, p1.T, p1.y0) == (0.5, 1.0, 0.0)
-    assert p1.lam == pytest.approx(0.5)
+    assert solve_once(p1, 4, SolverConfig())[0].lam == pytest.approx(0.5)
     assert p1.exact(0.49) == pytest.approx(0.49 * math.exp(-math.sqrt(0.49)))
 
     p2 = reg["5.2"]
     assert (p2.mu, p2.eps, p2.T) == (pytest.approx(1.0 / 3.0), 0.6, 0.5)
     assert p2.exact(0.3) == pytest.approx(0.3 ** (5.0 / 3.0) * math.exp(-0.3))
-    assert p2.lam == pytest.approx(1.0 / 3.0)
+    assert solve_once(p2, 4, SolverConfig())[0].lam == pytest.approx(1.0 / 3.0)
 
     p3 = reg["5.3"]
     assert (p3.mu, p3.T) == (0.5, 1.0)
@@ -331,8 +333,9 @@ def test_scaled_residual_takes_arrays():
 
 
 def test_printed_forcing_violates_equation():
-    p = make_example("5.1", forcing="printed")
-    sp = scale_to_unit(p)
-    phi, phip = exact_phi_pair(p)
-    residuals = [abs(scaled_residual(sp, phi, phip, th)) for th in (0.3, 0.6, 0.9)]
-    assert max(residuals) >= 1e-3
+    for key in ("5.1", "5.2", "5.3"):
+        p = make_example(key, forcing="printed")
+        sp = scale_to_unit(p)
+        phi, phip = exact_phi_pair(p)
+        residuals = [abs(scaled_residual(sp, phi, phip, th)) for th in (0.3, 0.6, 0.9)]
+        assert max(residuals) >= 1e-3, key
