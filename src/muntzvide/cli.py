@@ -5,7 +5,8 @@ occurrence of a key wins, so ``--set key=value`` overrides, read after the
 file, win over it.  Three modes:
 
     solve    one run at a single N; writes the results CSV plus a nodal dump
-    sweep    one run per N in a range; writes the results CSV plus plot data
+    sweep    one run per N in a range, measured against the exact solution;
+             writes the results CSV plus plot data
     compare  like sweep, but errors are measured against a high-N reference
 
 The results CSV always has the header ``N,l2_e,linf_e,l2_estar,linf_estar,
@@ -275,6 +276,11 @@ def run(spec: RunSpec) -> int:
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
         )
     problem = build_problem(spec)
+    if spec.mode == "sweep" and exact_phi_pair(problem) is None:
+        raise ConfigError(
+            f"problem {spec.problem} has no exact solution to sweep against; "
+            "use compare mode, which measures errors against a reference solve at key 'ref_N'"
+        )
     config = SolverConfig(
         lam=spec.lam,
         alpha=spec.alpha,

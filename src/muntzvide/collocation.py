@@ -7,10 +7,14 @@ eta = theta_i * xi^(1/lam), which turns the cardinal functions into ordinary
 polynomials of xi and absorbs the weak singularity into the quadrature
 weight (1-xi)^(-mu) xi^(1/lam - 1).  Two rule families appear:
 
-    * ``quad_mu``  - parameters (-mu, 1/lam - 1), carries the kernel rows C, D;
-    * ``quad_hat`` - parameters (0, 1/lam - 1), carries the integration rows
-      E, H, which are exact on the whole trial space (the integrands are
-      polynomials of degree <= N in xi).
+    * ``quad_mu``  - parameters (-mu, 1/lam - 1); its nodes carry every row,
+      with the kernel weights for C, D and with E's weights for E, H;
+    * ``quad_hat`` - parameters (0, 1/lam - 1), the rule of the integration
+      rows E, H.  Their integrands F_j(z_i xi) are polynomials of degree N in
+      xi, so on N+1 or more quad_mu nodes the interpolatory weights
+      w'_k = sum_m w^_m l_k(xi^_m), with quad_hat's nodes xi^_m and weights
+      w^_m and the Lagrange basis l_k on the quad_mu nodes, integrate them
+      exactly as quad_hat does: E is exact on the whole trial space.
 
 The delayed rows D, H sample the basis at eps^lam z_i xi_k.  Each F_j is a
 degree-N polynomial in z, so F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y),
@@ -19,7 +23,8 @@ and with the delay interpolation matrix L[l, j] = F_j(eps^lam z_l)
     D = D~ L,   H = eps E L,
 
 where D~ is D at the undelayed points z_i xi_k of C.  Assembly thus builds
-Cauchy arrays only there: one for C and D~ (two channels), one for E.
+one Cauchy array of (N+1) x K x (N+1) entries, at those points, which three
+channels share: C, D~ and E.
 
 The three coupled relations
 
@@ -37,7 +42,7 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .muntz_basis import CollocationGrid, basis_product
+from .muntz_basis import CollocationGrid, basis_product, interpolatory_weights
 from .problem import ScaledProblem, sample
 from .quadrature import FractionalRule, singular_ratio
 
@@ -108,11 +113,15 @@ def assemble(
     The rules enter in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
-    Rows of C, D~ and E are filled in blocks of at most ``_BLOCK_ENTRIES``
-    Cauchy entries (see ``basis_product``), and D, H follow from D~, E by
-    two matrix products with L; each kernel is called once per block, on the
-    broadcast (theta_i, eta_ik) arrays, and each coefficient once, on all
-    grid points.
+    Rows of C, D~ and E are the three channels of one product with the basis
+    at the quad_mu points (``basis_product``), filled in blocks of at most
+    ``_BLOCK_ENTRIES`` Cauchy entries.  E's channel carries the weights
+    ``interpolatory_weights`` moves from quad_hat onto the quad_mu nodes;
+    quad_hat supplies nothing else.  D, H follow from D~, E by two matrix
+    products with L.  Each kernel is called once per block, on the broadcast
+    (theta_i, eta_ik) arrays, and each coefficient once, on all grid points.
+    Raises ``ValueError`` if quad_mu has fewer than N+1 nodes, too few for E
+    to be exact.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")
@@ -123,14 +132,19 @@ def assemble(
     theta, z = grid.points, grid.z_points
 
     xi, om = quad_mu.z_nodes, quad_mu.weights
-    xih, omh = quad_hat.z_nodes, quad_hat.weights
+    if xi.size < n1:
+        raise ValueError(
+            f"quad_mu has {xi.size} nodes; E is exact only with at least N+1 = {n1}"
+        )
+    # E's integrands F_j(z_i xi) have degree N in xi, so quad_hat's weights
+    # moved onto the quad_mu nodes integrate them exactly
+    om_hat = interpolatory_weights(xi, quad_hat.z_nodes, quad_hat.weights)
     ratio = singular_ratio(xi, lam, mu)
     root_mu = quad_mu.nodes  # xi_k^(1/lam)
     eps_lam = eps**lam
 
-    CD = np.empty((2, n1, n1))  # C and D~, the undelayed D
-    E = np.empty((n1, n1))
-    step = max(1, _BLOCK_ENTRIES // (max(xi.size, xih.size) * n1))
+    CDE = np.empty((3, n1, n1))  # C, D~ (the undelayed D) and E / (theta / lam)
+    step = max(1, _BLOCK_ENTRIES // (xi.size * n1))
     for start in range(0, n1, step):
         rows = slice(start, start + step)
         ti, zi = theta[rows, None], z[rows, None]
@@ -138,13 +152,17 @@ def assemble(
         # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
         # endpoint-stable singular ratio, times the rule weight
         fac = (ti ** (1.0 - mu) / lam) * ratio * om
-        kernels = np.stack((fac * scaled.kbar1(ti, eta), fac * scaled.kbar2(ti, eps * eta)))
-        CD[:, rows] = basis_product(grid, kernels, zi * xi)
-        E[rows] = (ti / lam) * basis_product(grid, omh, zi * xih)
+        v = np.stack((
+            fac * scaled.kbar1(ti, eta),
+            fac * scaled.kbar2(ti, eps * eta),
+            np.broadcast_to(om_hat, eta.shape),
+        ))
+        CDE[:, rows] = basis_product(grid, v, zi * xi)
+    E = (theta / lam)[:, None] * CDE[2]
     # the delay interpolation matrix L[l, j] = F_j(eps^lam z_l) moves the
     # undelayed rows to the delayed points (see the module docstring)
     L = basis_product(grid, 1.0, (eps_lam * z)[:, None])
-    C, D = CD[0], CD[1] @ L
+    C, D = CDE[0], CDE[1] @ L
     H = eps * (E @ L)
 
     A = np.diag(sample(scaled.a_t, theta))

@@ -24,6 +24,7 @@ __all__ = [
     "build_grid",
     "basis_matrix_z",
     "basis_product",
+    "interpolatory_weights",
     "interpolate",
 ]
 
@@ -49,24 +50,39 @@ def _snap(grid: CollocationGrid, z: np.ndarray):
     return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
-def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
-    """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
-    z = frac.z_nodes
+def _bary_weights(z: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1 / prod_{l != j} 4 (z_j - z_l) of distinct nodes z in [0, 1]."""
     # differences in units of 1/4, the capacity of [0, 1], keep the products
     # O(1) at large N; a power-of-two scale changes no interpolated value
     diff = 4.0 * (z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / np.prod(diff, axis=1)
     bary.flags.writeable = False
+    return bary
+
+
+def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
+    """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data.
+
+    Raises ``ValueError`` when the mapped nodes theta_j = z_j^(1/lam) are not
+    positive and strictly increasing, as when a small lam underflows the first
+    ones to zero.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
+    theta = frac.nodes
+    if not (theta[0] > 0.0 and np.all(np.diff(theta) > 0.0)):
+        raise ValueError(
+            f"grid points collapse at N={n}, lam={lam}: the mapped nodes are not positive "
+            f"and strictly increasing (theta_0 = {theta[0]:.3e}); use a larger lam"
+        )
     return CollocationGrid(
         n=n,
         lam=lam,
-        points=frac.nodes,
-        z_points=z,
-        bary_weights=bary,
+        points=theta,
+        z_points=frac.z_nodes,
+        bary_weights=_bary_weights(frac.z_nodes),
     )
 
 
@@ -101,12 +117,18 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     """Tabulate all N+1 cardinal functions at mapped coordinates z.
 
     Returns an array of shape (len(z), N+1); row m holds F_j(z_m) for all j.
-    It is the interpolant of the identity, so column j is bitwise what
-    ``interpolate`` gives for the unit vector e_j.  Taking z rather than theta
-    spares a caller who knows z exactly a lossy power round trip.
+    It is the interpolant of the identity, F_j(z) = (w_j / (z - z_j)) / S(z)
+    with S as in ``basis_product``, formed entry by entry rather than as a
+    product with the identity, so column j is bitwise what ``interpolate``
+    gives for the unit vector e_j.  Taking z rather than theta spares a caller
+    who knows z exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _interpolate_z(grid, np.eye(grid.n + 1), z)
+    cauchy, near, snap = _cauchy(grid, z)
+    w = grid.bary_weights
+    out = (cauchy * w) / (cauchy @ w)[:, None]
+    out[snap] = np.eye(grid.n + 1)[near[snap]]
+    return out
 
 
 def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
@@ -131,6 +153,19 @@ def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
         r, k = np.nonzero(snap)
         np.add.at(out, (..., r, near[r, k]), np.broadcast_to(v, coef.shape)[..., r, k])
     return out
+
+
+def interpolatory_weights(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weights on distinct nodes z in [0, 1] that integrate as the rule (y, w) does.
+
+    With l_k the Lagrange basis on z, the weights are w'_k = sum_m w_m l_k(y_m),
+    so sum_k w'_k p(z_k) = sum_m w_m p(y_m) for every polynomial p of degree
+    below len(z): one ``basis_product`` on the barycentric node set of z.
+    """
+    nodes = CollocationGrid(
+        n=z.size - 1, lam=1.0, points=z, z_points=z, bary_weights=_bary_weights(z)
+    )
+    return basis_product(nodes, w, y[None, :])[0]
 
 
 def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:

@@ -325,6 +325,27 @@ def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkey
     assert calls == []
 
 
+def test_sweep_without_closed_form_points_to_compare(tmp_path, capsys, monkeypatch):
+    import muntzvide.analysis as analysis
+    import muntzvide.cli as cli
+
+    calls, original = [], analysis.solve_once
+    counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
+    monkeypatch.setattr(cli, "solve_once", counted)
+    monkeypatch.setattr(analysis, "solve_once", counted)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    custom = "problem = custom\nmu = 0.5\na1 = neg_one\nb1 = one\nK1 = zero\nK2 = zero\nf1 = zero\n"
+    for problem in ("problem = 5.4\n", custom):
+        cfg.write_text(f"{problem}N = 4:8:2\noutput = {out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "compare" in err[0] and "ref_N" in err[0]
+    assert calls == []
+    assert not out.exists()
+
+
 def test_help_lists_the_modes_and_options(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])

@@ -25,7 +25,7 @@ from muntzvide import (
     to_fractional,
 )
 from muntzvide.collocation import _BLOCK_ENTRIES
-from muntzvide.muntz_basis import basis_product
+from muntzvide.muntz_basis import basis_product, interpolatory_weights
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -167,10 +167,23 @@ def test_brute_force_kernel_entries_small_n():
             assert sysm.C[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def rowwise_integration(grid, qhat, eps):
+    """E and H one row at a time from the basis tabulated at quad_hat's own nodes."""
+    lam, xih, omh = grid.lam, qhat.z_nodes, qhat.weights
+    rows = [
+        (
+            (ti / lam) * (omh @ basis_matrix_z(grid, zi * xih)),
+            (eps * ti / lam) * (omh @ basis_matrix_z(grid, eps**lam * zi * xih)),
+        )
+        for ti, zi in zip(grid.points, grid.z_points)
+    ]
+    return [np.array(m) for m in zip(*rows)]
+
+
 def rowwise_assembly(scaled, grid, qmu, qhat):
     """C, D, E, H one row at a time from the tabulated, normalised basis."""
     lam, mu, eps = grid.lam, scaled.mu, scaled.eps
-    xi, om, xih, omh = qmu.z_nodes, qmu.weights, qhat.z_nodes, qhat.weights
+    xi, om = qmu.z_nodes, qmu.weights
     ratio = singular_ratio(xi, lam, mu)
     rows = []
     for ti, zi in zip(grid.points, grid.z_points):
@@ -179,10 +192,8 @@ def rowwise_assembly(scaled, grid, qmu, qhat):
         rows.append((
             (fac * scaled.kbar1(ti, eta)) @ basis_matrix_z(grid, zi * xi),
             (fac * scaled.kbar2(ti, eps * eta)) @ basis_matrix_z(grid, eps**lam * zi * xi),
-            (ti / lam) * (omh @ basis_matrix_z(grid, zi * xih)),
-            (eps * ti / lam) * (omh @ basis_matrix_z(grid, eps**lam * zi * xih)),
         ))
-    return [np.array(m) for m in zip(*rows)]
+    return [np.array(m) for m in zip(*rows)] + rowwise_integration(grid, qhat, eps)
 
 
 def kernel_problem(mu, constant=False, eps=0.6):
@@ -230,9 +241,10 @@ def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
         assert np.array_equal(sysm.H, sysm.E)
 
 
-def test_assembly_builds_two_cauchy_arrays_and_the_delay_matrix(monkeypatch):
-    # C and the undelayed D share the quad_mu array, E has the quad_hat one and
-    # L one (N+1) x (N+1) array; D and H need no Cauchy array of their own
+def test_assembly_builds_one_cauchy_array_and_the_delay_matrix(monkeypatch):
+    # C, the undelayed D and E share the quad_mu array; E's weights on those
+    # nodes and L take one (N+1) x (N+1) array each; D and H need no Cauchy
+    # array of their own
     import muntzvide.muntz_basis as muntz_basis
 
     entries = []
@@ -247,7 +259,37 @@ def test_assembly_builds_two_cauchy_arrays_and_the_delay_matrix(monkeypatch):
     for n in (8, 40):
         entries.clear()
         assembled(kernel_problem(0.5), n, 0.5)
-        assert sum(entries) == 2 * (n + 1) ** 2 * (n + 1) + (n + 1) ** 2
+        assert sum(entries) == (n + 1) ** 3 + 2 * (n + 1) ** 2
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("lam", [1.0, 0.5, 1.0 / 20.0])
+@pytest.mark.parametrize("n", [64, 192])
+def test_integration_rows_on_quad_mu_nodes_match_quad_hat_rows(n, lam, mu):
+    # E's channel on the quad_mu nodes gives the rows quad_hat gives on its own
+    grid, sysm = assembled(zero_problem(mu=mu, eps=0.6), n, lam)
+    want = rowwise_integration(grid, rules_for(n, mu, lam)[1], 0.6)
+    for got, ref in zip((sysm.E, sysm.H), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 0.95, 0.99])
+@pytest.mark.parametrize("lam", [1.0, 0.5, 1.0 / 3.0, 1.0 / 20.0])
+@pytest.mark.parametrize("n", [8, 64, 192])
+def test_interpolatory_weights_reproduce_quad_hat_moments(n, lam, mu):
+    qmu, qhat = rules_for(n, mu, lam)
+    weights = interpolatory_weights(qmu.z_nodes, qhat.z_nodes, qhat.weights)
+    k = np.arange(n + 1)[:, None]
+    want = (qhat.z_nodes**k) @ qhat.weights
+    np.testing.assert_allclose((qmu.z_nodes**k) @ weights, want, rtol=1e-14, atol=0)
+
+
+def test_assemble_needs_n_plus_one_quad_mu_nodes():
+    p = zero_problem()
+    grid = build_grid(4, -0.5, -0.5, 0.5)
+    qmu, qhat = rules_for(4, p.mu, 0.5, npts=4)
+    with pytest.raises(ValueError, match="N\\+1"):
+        assemble(scale_to_unit(p), grid, qmu, qhat)
 
 
 def test_assembly_calls_each_kernel_once_per_block():

@@ -71,6 +71,19 @@ def test_build_grid_validates():
         build_grid(0, -0.5, -0.5, 0.5)
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_build_grid_rejects_collapsed_points(n):
+    # at lam = 1/128 theta_0 = z_0^128 underflows to 0 and repeats
+    with pytest.raises(ValueError, match=f"N={n}, lam=0.0078125"):
+        build_grid(n, -0.5, -0.5, 1.0 / 128.0)
+
+
+def test_build_grid_keeps_tiny_distinct_points():
+    grid = build_grid(128, -0.5, -0.5, 1.0 / 64.0)
+    assert 0.0 < grid.points[0] < 1e-280
+    assert np.all(np.diff(grid.points) > 0.0)
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_kronecker_property(lam):
     # one array call over all grid points gives exact 0/1 values by snapping
