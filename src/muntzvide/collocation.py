@@ -7,24 +7,32 @@ eta = theta_i * xi^(1/lam), which turns the cardinal functions into ordinary
 polynomials of xi and absorbs the weak singularity into the quadrature
 weight (1-xi)^(-mu) xi^(1/lam - 1).  Two rule families appear:
 
-    * ``quad_mu``  - parameters (-mu, 1/lam - 1); its nodes carry every row,
-      with the kernel weights for C, D and with E's weights for E, H;
+    * ``quad_mu``  - parameters (-mu, 1/lam - 1), the rule of the kernel rows
+      C, D;
     * ``quad_hat`` - parameters (0, 1/lam - 1), the rule of the integration
-      rows E, H.  Their integrands F_j(z_i xi) are polynomials of degree N in
-      xi, so on N+1 or more quad_mu nodes the interpolatory weights
-      w'_k = sum_m w^_m l_k(xi^_m), with quad_hat's nodes xi^_m and weights
-      w^_m and the Lagrange basis l_k on the quad_mu nodes, integrate them
-      exactly as quad_hat does: E is exact on the whole trial space.
+      rows E, H.
 
-The delayed rows D, H sample the basis at eps^lam z_i xi_k.  Each F_j is a
-degree-N polynomial in z, so F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y),
-and with the delay interpolation matrix L[l, j] = F_j(eps^lam z_l)
+Row i samples the basis at z_i xi for the rule's nodes xi.  Each F_j is a
+degree-N polynomial in z, so interpolating y -> F_j(z_i y) on the grid gives
+the dilation identity
 
-    D = D~ L,   H = eps E L,
+    F_j(z_i xi) = sum_l F_l(xi) F_j(z_i z_l),
 
-where D~ is D at the undelayed points z_i xi_k of C.  Assembly thus builds
-one Cauchy array of (N+1) x K x (N+1) entries, at those points, which three
-channels share: C, D~ and E.
+which moves every quadrature node onto the grid's dilation table
+F_j(z_i z_l), a table symmetric in (i, l).  With Phi[k, l] = F_l(xi_k) on
+quad_mu's nodes, a row's weights v_i (kernel times rule weight) become
+W_i = v_i Phi, and quad_hat's weights w^ become the one row w^ Phi^ shared by
+every row of E.  C, D~ (D at the undelayed points) and E / (theta / lam) are
+then the three channels of ``dilation_product``, which builds the table's
+Cauchy array for l >= the first row of each block only: about (N+1)^3 / 2
+entries once the rows span many blocks (3,650,209 at N = 192, against
+(N+1)^3 = 7,189,057 for the points z_i xi_k of C alone).
+
+The delayed rows D, H sample the basis at eps^lam z_i xi_k.  By the same
+argument F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y), and with the delay
+interpolation matrix L[l, j] = F_j(eps^lam z_l)
+
+    D = D~ L,   H = eps E L.
 
 The three coupled relations
 
@@ -42,7 +50,7 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .muntz_basis import CollocationGrid, basis_product, interpolatory_weights
+from .muntz_basis import CollocationGrid, basis_matrix_z, basis_product, dilation_product
 from .problem import ScaledProblem, sample
 from .quadrature import FractionalRule, singular_ratio
 
@@ -55,9 +63,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
-# rows of C, D~ and E are built in blocks holding at most this many entries of
-# a (rows, K, N+1) Cauchy array, which bounds the assembly's scratch memory
-_BLOCK_ENTRIES = 2**16
 
 
 class SingularSystemError(RuntimeError):
@@ -87,6 +92,8 @@ class DiscreteSolution:
     u: np.ndarray
     v: np.ndarray
     grid: CollocationGrid
+    # 1-norm condition estimate of the reduced matrix; NaN unless ``solve`` made it
+    cond: float = math.nan
 
 
 def _check_rule(name: str, rule: FractionalRule, alpha: float, beta: float, lam: float) -> None:
@@ -113,15 +120,22 @@ def assemble(
     The rules enter in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
-    Rows of C, D~ and E are the three channels of one product with the basis
-    at the quad_mu points (``basis_product``), filled in blocks of at most
-    ``_BLOCK_ENTRIES`` Cauchy entries.  E's channel carries the weights
-    ``interpolatory_weights`` moves from quad_hat onto the quad_mu nodes;
-    quad_hat supplies nothing else.  D, H follow from D~, E by two matrix
-    products with L.  Each kernel is called once per block, on the broadcast
-    (theta_i, eta_ik) arrays, and each coefficient once, on all grid points.
-    Raises ``ValueError`` if quad_mu has fewer than N+1 nodes, too few for E
-    to be exact.
+    By the dilation identity F_j(z_i xi) = sum_l F_l(xi) F_j(z_i z_l) (see the
+    module docstring) the rows are
+
+        C = dilation_product(grid, (fac kbar1) Phi),  D~ likewise with kbar2,
+        E = (theta / lam) dilation_product(grid, w^ Phi^),
+
+    with Phi = ``basis_matrix_z`` at quad_mu's nodes and Phi^ at quad_hat's:
+    two GEMMs on the (N+1, K) kernel weights and one row for E.  The
+    symmetric table F_j(z_i z_l) is built half, in blocks, by
+    ``dilation_product``: Cauchy entries per ``assemble`` are the half table
+    plus Phi, Phi^ and L, 3,761,956 at N = 192.  D, H follow from D~, E by
+    two matrix products with L.  Each kernel is called once, on the
+    broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
+    coefficient once, on all grid points.
+    Raises ``ValueError`` if quad_mu has fewer than N+1 nodes, too few to
+    carry the kernel rows C and D~.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")
@@ -134,35 +148,25 @@ def assemble(
     xi, om = quad_mu.z_nodes, quad_mu.weights
     if xi.size < n1:
         raise ValueError(
-            f"quad_mu has {xi.size} nodes; E is exact only with at least N+1 = {n1}"
+            f"quad_mu has {xi.size} nodes; the kernel rows C and D need at least N+1 = {n1}"
         )
-    # E's integrands F_j(z_i xi) have degree N in xi, so quad_hat's weights
-    # moved onto the quad_mu nodes integrate them exactly
-    om_hat = interpolatory_weights(xi, quad_hat.z_nodes, quad_hat.weights)
-    ratio = singular_ratio(xi, lam, mu)
-    root_mu = quad_mu.nodes  # xi_k^(1/lam)
-    eps_lam = eps**lam
-
-    CDE = np.empty((3, n1, n1))  # C, D~ (the undelayed D) and E / (theta / lam)
-    step = max(1, _BLOCK_ENTRIES // (xi.size * n1))
-    for start in range(0, n1, step):
-        rows = slice(start, start + step)
-        ti, zi = theta[rows, None], z[rows, None]
-        eta = ti * root_mu
-        # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
-        # endpoint-stable singular ratio, times the rule weight
-        fac = (ti ** (1.0 - mu) / lam) * ratio * om
-        v = np.stack((
-            fac * scaled.kbar1(ti, eta),
-            fac * scaled.kbar2(ti, eps * eta),
-            np.broadcast_to(om_hat, eta.shape),
-        ))
-        CDE[:, rows] = basis_product(grid, v, zi * xi)
-    E = (theta / lam)[:, None] * CDE[2]
+    ti = theta[:, None]
+    eta = ti * quad_mu.nodes  # theta_i xi_k^(1/lam)
+    # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
+    # endpoint-stable singular ratio, times the rule weight
+    fac = (ti ** (1.0 - mu) / lam) * singular_ratio(xi, lam, mu) * om
+    phi = basis_matrix_z(grid, xi)
+    # the weights of C, D~ (the undelayed D) and E / (theta / lam) on the table
+    W = np.empty((3, n1, n1))
+    np.matmul(fac * scaled.kbar1(ti, eta), phi, out=W[0])
+    np.matmul(fac * scaled.kbar2(ti, eps * eta), phi, out=W[1])
+    W[2] = quad_hat.weights @ basis_matrix_z(grid, quad_hat.z_nodes)
+    C, Dt, E = dilation_product(grid, W)
+    E *= (theta / lam)[:, None]
     # the delay interpolation matrix L[l, j] = F_j(eps^lam z_l) moves the
     # undelayed rows to the delayed points (see the module docstring)
-    L = basis_product(grid, 1.0, (eps_lam * z)[:, None])
-    C, D = CDE[0], CDE[1] @ L
+    L = basis_product(grid, 1.0, (eps**lam * z)[:, None])
+    D = Dt @ L
     H = eps * (E @ L)
 
     A = np.diag(sample(scaled.a_t, theta))
@@ -205,4 +209,4 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     u_star = lu_solve((lu, piv), rhs, check_finite=False)
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
-    return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid)
+    return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid, cond=cond)

@@ -9,6 +9,12 @@ so all arithmetic happens in z coordinates, where they are ordinary Lagrange
 polynomials.  Evaluation uses the second barycentric form (Berrut & Trefethen
 2004), which is stable for clustered nodes; the direct product form is kept
 in the tests as a small-N cross-check only.
+
+    * ``interpolate``      - the interpolant of nodal values at any theta;
+    * ``basis_matrix_z``   - the table F_j(z_m) at mapped coordinates z;
+    * ``basis_product``    - row-wise v @ F_j(z) without forming the table;
+    * ``dilation_product`` - sum_l W[i, l] F_j(z_i z_l) over the grid's
+      dilation table, which is symmetric in (i, l), so only half of it is built.
 """
 
 from __future__ import annotations
@@ -24,13 +30,16 @@ __all__ = [
     "build_grid",
     "basis_matrix_z",
     "basis_product",
-    "interpolatory_weights",
+    "dilation_product",
     "interpolate",
 ]
 
 # within this distance of a node (in z) the barycentric form is 0/0: return
 # the exact Kronecker value instead
 _SNAP_TOL = 1e-15
+# ``dilation_product`` fills rows in blocks holding at most this many entries
+# of a (rows, N+1, N+1) Cauchy array, which bounds its scratch memory
+_BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,17 +59,6 @@ def _snap(grid: CollocationGrid, z: np.ndarray):
     return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
-def _bary_weights(z: np.ndarray) -> np.ndarray:
-    """Barycentric weights 1 / prod_{l != j} 4 (z_j - z_l) of distinct nodes z in [0, 1]."""
-    # differences in units of 1/4, the capacity of [0, 1], keep the products
-    # O(1) at large N; a power-of-two scale changes no interpolated value
-    diff = 4.0 * (z[:, None] - z[None, :])
-    np.fill_diagonal(diff, 1.0)
-    bary = 1.0 / np.prod(diff, axis=1)
-    bary.flags.writeable = False
-    return bary
-
-
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
     """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data.
 
@@ -77,13 +75,15 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
             f"grid points collapse at N={n}, lam={lam}: the mapped nodes are not positive "
             f"and strictly increasing (theta_0 = {theta[0]:.3e}); use a larger lam"
         )
-    return CollocationGrid(
-        n=n,
-        lam=lam,
-        points=theta,
-        z_points=frac.z_nodes,
-        bary_weights=_bary_weights(frac.z_nodes),
-    )
+    z = frac.z_nodes
+    # barycentric weights 1 / prod_{l != j} 4 (z_j - z_l): differences in units
+    # of 1/4, the capacity of [0, 1], keep the products O(1) at large N, and a
+    # power-of-two scale changes no interpolated value
+    diff = 4.0 * (z[:, None] - z[None, :])
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / np.prod(diff, axis=1)
+    bary.flags.writeable = False
+    return CollocationGrid(n=n, lam=lam, points=theta, z_points=z, bary_weights=bary)
 
 
 def _cauchy(grid: CollocationGrid, z: np.ndarray):
@@ -155,17 +155,51 @@ def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
     return out
 
 
-def interpolatory_weights(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weights on distinct nodes z in [0, 1] that integrate as the rule (y, w) does.
+def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
+    """out[..., i, j] = sum_l W[..., i, l] F_j(z_i z_l) over the grid's dilation table.
 
-    With l_k the Lagrange basis on z, the weights are w'_k = sum_m w_m l_k(y_m),
-    so sum_k w'_k p(z_k) = sum_m w_m p(y_m) for every polynomial p of degree
-    below len(z): one ``basis_product`` on the barycentric node set of z.
+    ``W`` has shape (N+1, N+1), or (c, N+1, N+1) for c channels, and the result
+    has its shape.  The table F_j(z_i z_l) is symmetric in (i, l), so the row
+    block [a, b) builds the Cauchy array of the points z_i z_l only for l >= a:
+    its rows take the pairs (i, l) directly, and the rows l >= b take the same
+    entries as their pairs (l, i).  Each direction is one batched product,
+    w * ((W / S) @ R) as in ``basis_product``, and a block holds at most
+    ``_BLOCK_ENTRIES`` Cauchy entries; at N+1 rows of one block that is
+    (N+1)^3 entries in all, and about half of it once the table spans many
+    blocks.  A z_i z_l within ``_SNAP_TOL`` of a node adds its weights, in both
+    directions, to that node's column only.
     """
-    nodes = CollocationGrid(
-        n=z.size - 1, lam=1.0, points=z, z_points=z, bary_weights=_bary_weights(z)
-    )
-    return basis_product(nodes, w, y[None, :])[0]
+    n1 = grid.n + 1
+    W = np.asarray(W, dtype=float)
+    chan = W.reshape(-1, n1, n1)
+    z, w = grid.z_points, grid.bary_weights
+    out = np.zeros(chan.shape)  # the sums over l, still without the factor w_j
+    hits = []  # (rows, nodes, weights) of the snapped pairs, added after w_j
+    step = max(1, _BLOCK_ENTRIES // (n1 * n1))
+    for a in range(0, n1, step):
+        b = min(a + step, n1)
+        cauchy, near, snap = _cauchy(grid, np.multiply.outer(z[a:b], z[a:]))
+        inv_s = np.where(snap, 0.0, 1.0 / (cauchy @ w))  # (rows, l >= a)
+        # rows i in [a, b) over l >= a: (i, c, l) @ (i, l, j)
+        coef = (chan[:, a:b, a:] * inv_s).transpose(1, 0, 2)
+        out[:, a:b] += (coef @ cauchy).transpose(1, 0, 2)
+        # rows l >= b over i in [a, b): (l, c, i) @ (l, i, j)
+        tail = slice(b - a, None)
+        coef = (chan[:, b:, a:b] * inv_s[:, tail].T).transpose(1, 0, 2)
+        out[:, b:] += (coef @ cauchy[:, tail].transpose(1, 0, 2)).transpose(1, 0, 2)
+        if snap.any():
+            r, m = np.nonzero(snap)
+            i, l, node = a + r, a + m, near[r, m]
+            t = l >= b
+            hits.append((
+                np.concatenate((i, l[t])),
+                np.concatenate((node, node[t])),
+                np.concatenate((chan[:, i, l], chan[:, l[t], i[t]]), axis=1),
+            ))
+    out *= w
+    for rows, nodes, weights in hits:
+        np.add.at(out, (slice(None), rows, nodes), weights)
+    return out.reshape(W.shape)
 
 
 def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:

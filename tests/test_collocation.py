@@ -24,8 +24,7 @@ from muntzvide import (
     solve,
     to_fractional,
 )
-from muntzvide.collocation import _BLOCK_ENTRIES
-from muntzvide.muntz_basis import basis_product, interpolatory_weights
+from muntzvide.muntz_basis import basis_product
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -241,10 +240,11 @@ def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
         assert np.array_equal(sysm.H, sysm.E)
 
 
-def test_assembly_builds_one_cauchy_array_and_the_delay_matrix(monkeypatch):
-    # C, the undelayed D and E share the quad_mu array; E's weights on those
-    # nodes and L take one (N+1) x (N+1) array each; D and H need no Cauchy
-    # array of their own
+def test_assembly_builds_half_the_dilation_table_and_the_delay_matrix(monkeypatch):
+    # C, D~ and E share the dilation table F_j(z_i z_l), whose row block
+    # [a, a + step) builds its Cauchy array for l >= a only; Phi and Phi^ (the
+    # basis at the quad_mu and quad_hat nodes) and L take one (N+1) x (N+1)
+    # array each; D and H need no Cauchy array of their own
     import muntzvide.muntz_basis as muntz_basis
 
     entries = []
@@ -256,10 +256,15 @@ def test_assembly_builds_one_cauchy_array_and_the_delay_matrix(monkeypatch):
         return out
 
     monkeypatch.setattr(muntz_basis, "_cauchy", counting)
-    for n in (8, 40):
+    for n in (8, 40, 128):
+        n1 = n + 1
+        step = max(1, muntz_basis._BLOCK_ENTRIES // n1**2)
+        half = sum(min(step, n1 - a) * (n1 - a) * n1 for a in range(0, n1, step))
         entries.clear()
         assembled(kernel_problem(0.5), n, 0.5)
-        assert sum(entries) == (n + 1) ** 3 + 2 * (n + 1) ** 2
+        assert sum(entries) == half + 3 * n1**2
+    # from N = 128 on the table spans many blocks and is built about half
+    assert sum(entries) == 1_180_737 < 0.6 * 129**3
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 0.95])
@@ -277,11 +282,15 @@ def test_integration_rows_on_quad_mu_nodes_match_quad_hat_rows(n, lam, mu):
 @pytest.mark.parametrize("lam", [1.0, 0.5, 1.0 / 3.0, 1.0 / 20.0])
 @pytest.mark.parametrize("n", [8, 64, 192])
 def test_interpolatory_weights_reproduce_quad_hat_moments(n, lam, mu):
-    qmu, qhat = rules_for(n, mu, lam)
-    weights = interpolatory_weights(qmu.z_nodes, qhat.z_nodes, qhat.weights)
+    # assemble moves each rule's weights onto the grid nodes as w Phi, the
+    # interpolatory weights of the rule there: they integrate z^k, k <= N,
+    # as the rule does (quad_hat for E, quad_mu for C and D~)
+    grid = build_grid(n, -0.5, -0.5, lam)
     k = np.arange(n + 1)[:, None]
-    want = (qhat.z_nodes**k) @ qhat.weights
-    np.testing.assert_allclose((qmu.z_nodes**k) @ weights, want, rtol=1e-14, atol=0)
+    for rule in rules_for(n, mu, lam)[::-1]:
+        weights = rule.weights @ basis_matrix_z(grid, rule.z_nodes)
+        want = (rule.z_nodes**k) @ rule.weights
+        np.testing.assert_allclose((grid.z_points**k) @ weights, want, rtol=1e-14, atol=0)
 
 
 def test_assemble_needs_n_plus_one_quad_mu_nodes():
@@ -292,20 +301,36 @@ def test_assemble_needs_n_plus_one_quad_mu_nodes():
         assemble(scale_to_unit(p), grid, qmu, qhat)
 
 
-def test_assembly_calls_each_kernel_once_per_block():
-    n = 40  # 41 rows of 41 x 41 Cauchy entries: more than one block
-    step = max(1, _BLOCK_ENTRIES // (n + 1) ** 2)
-    blocks = math.ceil((n + 1) / step)
-    assert blocks >= 2
-    calls = []
+def test_assembly_calls_each_kernel_once():
+    n = 40
+    calls = {"k1": [], "k2": []}
     p = VideProblem(
         a1=lambda t: 0.0, b1=lambda t: 0.0, f1=lambda t: 0.0,
-        k1=lambda t, s: calls.append(np.shape(s)) or 1.0, k2=lambda t, s: 0.0,
+        k1=lambda t, s: calls["k1"].append(np.shape(s)) or 1.0,
+        k2=lambda t, s: calls["k2"].append(np.shape(s)) or 0.0,
         mu=0.5, eps=0.5, T=1.0, y0=0.0,
     )
     assembled(p, n, 0.5)
-    assert len(calls) == blocks
-    assert sum(rows for rows, _ in calls) == n + 1
+    assert calls == {"k1": [(n + 1, n + 1)], "k2": [(n + 1, n + 1)]}
+
+
+def test_assembly_scratch_memory_at_large_n():
+    # one assemble of 5.4 at N = 192 holds its Cauchy blocks, the (N+1, K)
+    # kernel weights and the three (N+1, N+1) channels, nothing of size N^3
+    import tracemalloc
+
+    p = scale_to_unit(make_example("5.4"))
+    n, lam = 192, 0.5
+    grid = build_grid(n, -0.5, -0.5, lam)
+    rules = rules_for(n, p.mu, lam)
+    assemble(p, grid, *rules)
+    tracemalloc.start()
+    try:
+        assemble(p, grid, *rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_assemble_validates_rule_parameters():
@@ -411,6 +436,18 @@ def system_with_matrix(m):
         A=eye, B=zero, C=zero, D=zero, E=eye - m, H=zero,
         fvec=np.ones(len(m)), u0=np.zeros(len(m)), grid=None,
     )
+
+
+def test_solution_keeps_the_condition_estimate():
+    grid, sysm = assembled(make_example("5.1"), 16, 0.5)
+    sol = solve(sysm)
+    G = sysm.A + sysm.C + sysm.D
+    M = np.eye(17) - G @ sysm.E - sysm.B @ sysm.H
+    exact = np.linalg.cond(M, 1)
+    assert math.isfinite(sol.cond) and sol.cond >= 1.0
+    assert exact / 10.0 <= sol.cond <= 10.0 * exact
+    # a hand-built solution has no estimate
+    assert math.isnan(type(sol)(sol.u_star, sol.u, sol.v, grid).cond)
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from muntzvide import (
+    CollocationGrid,
     basis_matrix_z,
     build_grid,
     gauss_jacobi,
     interpolate,
     to_fractional,
 )
+from muntzvide import muntz_basis
 from muntzvide.muntz_basis import basis_product
 
 LAMBDAS = [1.0, 0.5, 1.0 / 3.0]
@@ -259,3 +261,47 @@ def test_multichannel_interpolate_equals_per_channel_calls(n, lam):
     assert np.isnan(got[n + 4]).all() and np.isfinite(got[n + 3]).all()
     with pytest.raises(ValueError):
         interpolate(grid, np.ones((n + 2, 2)), thetas)
+
+
+def lagrange(nodes, j, x):
+    """Product-form Lagrange polynomial l_j of ``nodes`` at x."""
+    others = np.delete(nodes, j)
+    return np.prod((x - others) / (nodes[j] - others))
+
+
+@pytest.mark.parametrize("block_entries", [9, 2**17])
+def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_entries):
+    # z = {1/4, 1/2, 1}: z_i z_l lands on a node for every pair but (1/4, 1/4)
+    # and (1/4, 1/2), so with 1-row blocks (9 entries) the snapped pairs go
+    # through both the direct and the transposed branch
+    monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", block_entries)
+    z = np.array([0.25, 0.5, 1.0])
+    bary = 1.0 / np.array([np.prod(np.delete(z[j] - z, j)) for j in range(3)])
+    grid = CollocationGrid(n=2, lam=1.0, points=z, z_points=z, bary_weights=bary)
+    W = np.random.default_rng(5).standard_normal((2, 3, 3))
+    want = np.array([
+        [[sum(W[c, i, l] * lagrange(z, j, z[i] * z[l]) for l in range(3)) for j in range(3)]
+         for i in range(3)]
+        for c in range(2)
+    ])
+    got = muntz_basis.dilation_product(grid, W)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert got.shape == (2, 3, 3)
+    assert muntz_basis.dilation_product(grid, W[0]).shape == (3, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_dilation_product_blocks_match_one_block(monkeypatch, rows):
+    # 41 rows in blocks of 1, 2 and 3 rows (the last block of 3 holds 2)
+    n, lam = 40, 0.5
+    grid = build_grid(n, -0.5, -0.5, lam)
+    W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
+    assert muntz_basis._BLOCK_ENTRIES >= (n + 1) ** 3  # one block by default
+    whole = muntz_basis.dilation_product(grid, W)
+    z = grid.z_points
+    table = [W[:, i] @ basis_matrix_z(grid, z[i] * z) for i in range(n + 1)]
+    ref = np.stack(table, axis=1)
+    np.testing.assert_allclose(whole, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", rows * (n + 1) ** 2)
+    got = muntz_basis.dilation_product(grid, W)
+    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
