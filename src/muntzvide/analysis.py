@@ -59,7 +59,9 @@ class SolverConfig:
 
     ``lam`` is the one basis-exponent setting; None uses default_lambda(mu).
     The kernel and integration rules have N+1 points (one per unknown), and
-    the L2 norm is weighted by the grid's (alpha, beta).
+    the L2 norm is weighted by the grid's (alpha, beta).  A ``lam`` outside
+    (0, 1], ``l2_points < 1`` or ``linf_points < 2`` raises ``ValueError``
+    here, before any solve.
     """
 
     lam: Optional[float] = None
@@ -67,6 +69,14 @@ class SolverConfig:
     beta: float = -0.5
     l2_points: Optional[int] = None
     linf_points: int = 2001
+
+    def __post_init__(self):
+        if self.lam is not None and not 0.0 < self.lam <= 1.0:
+            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+        if self.l2_points is not None and self.l2_points < 1:
+            raise ValueError(f"l2_points must be >= 1, got {self.l2_points}")
+        if self.linf_points < 2:
+            raise ValueError(f"linf_points must be >= 2, got {self.linf_points}")
 
 
 @dataclass
@@ -155,10 +165,7 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     lam = _resolve_lam(problem, config)
     start = perf_counter()
     grid = build_grid(n, config.alpha, config.beta, lam)
-    scaled = scale_to_unit(problem)
-    quad_mu = to_fractional(gauss_jacobi(n + 1, -problem.mu, 1.0 / lam - 1.0), lam)
-    quad_hat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
-    sol = solve(assemble(scaled, grid, quad_mu, quad_hat))
+    sol = solve(assemble(scale_to_unit(problem), grid))
     runtime_ms = (perf_counter() - start) * 1e3
     return grid, sol, runtime_ms
 

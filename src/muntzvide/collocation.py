@@ -5,7 +5,8 @@ At the grid points theta_i the unknowns are the nodal values of the solution
 the delayed solution (v_i).  Every integral is pulled to [0, 1] with
 eta = theta_i * xi^(1/lam), which turns the cardinal functions into ordinary
 polynomials of xi and absorbs the weak singularity into the quadrature
-weight (1-xi)^(-mu) xi^(1/lam - 1).  Two rule families appear:
+weight (1-xi)^(-mu) xi^(1/lam - 1).  ``assemble`` builds its two
+(N+1)-point Gauss-Jacobi rules itself, from N, lam and mu:
 
     * ``quad_mu``  - parameters (-mu, 1/lam - 1), the rule of the kernel rows
       C, D;
@@ -50,9 +51,9 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .muntz_basis import CollocationGrid, basis_matrix_z, basis_product, dilation_product
+from .muntz_basis import CollocationGrid, basis_matrix_z, dilation_product
 from .problem import ScaledProblem, sample
-from .quadrature import FractionalRule, singular_ratio
+from .quadrature import gauss_jacobi, singular_ratio, to_fractional
 
 __all__ = [
     "SingularSystemError",
@@ -96,28 +97,12 @@ class DiscreteSolution:
     cond: float = math.nan
 
 
-def _check_rule(name: str, rule: FractionalRule, alpha: float, beta: float, lam: float) -> None:
-    ok = (
-        math.isclose(rule.lam, lam, rel_tol=0.0, abs_tol=1e-14)
-        and math.isclose(rule.alpha, alpha, rel_tol=0.0, abs_tol=1e-12)
-        and math.isclose(rule.beta, beta, rel_tol=0.0, abs_tol=1e-12)
-    )
-    if not ok:
-        raise ValueError(
-            f"{name} has parameters (lam={rule.lam}, alpha={rule.alpha}, "
-            f"beta={rule.beta}); expected (lam={lam}, alpha={alpha}, beta={beta})"
-        )
-
-
-def assemble(
-    scaled: ScaledProblem,
-    grid: CollocationGrid,
-    quad_mu: FractionalRule,
-    quad_hat: FractionalRule,
-) -> SystemMatrices:
+def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     """Build all matrices and vectors of the discrete system.
 
-    The rules enter in parent-variable form: row i samples the basis at
+    The two (N+1)-point rules, quad_mu and quad_hat (see the module
+    docstring), are built here from ``grid.n``, ``grid.lam`` and
+    ``scaled.mu``, in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
     By the dilation identity F_j(z_i xi) = sum_l F_l(xi) F_j(z_i z_l) (see the
@@ -131,25 +116,19 @@ def assemble(
     symmetric table F_j(z_i z_l) is built half, in blocks, by
     ``dilation_product``: Cauchy entries per ``assemble`` are the half table
     plus Phi, Phi^ and L, 3,761,956 at N = 192.  D, H follow from D~, E by
-    two matrix products with L.  Each kernel is called once, on the
-    broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
-    coefficient once, on all grid points.
-    Raises ``ValueError`` if quad_mu has fewer than N+1 nodes, too few to
-    carry the kernel rows C and D~.
+    two matrix products with L = ``basis_matrix_z`` at eps^lam z.  Each
+    kernel is called once, on the broadcast (theta_i, eta_ik) arrays of
+    shape (N+1, K), and each coefficient once, on all grid points.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")
     lam, mu, eps = grid.lam, scaled.mu, scaled.eps
-    _check_rule("quad_mu", quad_mu, -mu, 1.0 / lam - 1.0, lam)
-    _check_rule("quad_hat", quad_hat, 0.0, 1.0 / lam - 1.0, lam)
     n1 = grid.n + 1
     theta, z = grid.points, grid.z_points
+    quad_mu = to_fractional(gauss_jacobi(n1, -mu, 1.0 / lam - 1.0), lam)
+    quad_hat = to_fractional(gauss_jacobi(n1, 0.0, 1.0 / lam - 1.0), lam)
 
     xi, om = quad_mu.z_nodes, quad_mu.weights
-    if xi.size < n1:
-        raise ValueError(
-            f"quad_mu has {xi.size} nodes; the kernel rows C and D need at least N+1 = {n1}"
-        )
     ti = theta[:, None]
     eta = ti * quad_mu.nodes  # theta_i xi_k^(1/lam)
     # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
@@ -165,7 +144,7 @@ def assemble(
     E *= (theta / lam)[:, None]
     # the delay interpolation matrix L[l, j] = F_j(eps^lam z_l) moves the
     # undelayed rows to the delayed points (see the module docstring)
-    L = basis_product(grid, 1.0, (eps**lam * z)[:, None])
+    L = basis_matrix_z(grid, eps**lam * z)
     D = Dt @ L
     H = eps * (E @ L)
 

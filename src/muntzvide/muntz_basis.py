@@ -12,9 +12,12 @@ in the tests as a small-N cross-check only.
 
     * ``interpolate``      - the interpolant of nodal values at any theta;
     * ``basis_matrix_z``   - the table F_j(z_m) at mapped coordinates z;
-    * ``basis_product``    - row-wise v @ F_j(z) without forming the table;
     * ``dilation_product`` - sum_l W[i, l] F_j(z_i z_l) over the grid's
       dilation table, which is symmetric in (i, l), so only half of it is built.
+
+All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
+points, and all give a z within ``_SNAP_TOL`` of a node that node's exact
+Kronecker value.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "CollocationGrid",
     "build_grid",
     "basis_matrix_z",
-    "basis_product",
     "dilation_product",
     "interpolate",
 ]
@@ -49,14 +51,6 @@ class CollocationGrid:
     points: np.ndarray
     z_points: np.ndarray
     bary_weights: np.ndarray
-
-
-def _snap(grid: CollocationGrid, z: np.ndarray):
-    """Index of the node nearest each z, and whether z lies within _SNAP_TOL of it."""
-    nodes = grid.z_points
-    right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
-    near = right - (z - nodes[right - 1] < nodes[right] - z)
-    return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
@@ -87,71 +81,36 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
 
 
 def _cauchy(grid: CollocationGrid, z: np.ndarray):
-    """R = 1 / (z - z_j) and ``_snap(grid, z)``; a snapped z is moved off [0, 1].
+    """R = 1 / (z - z_j), the node nearest each z, and whether z lies within _SNAP_TOL of it.
 
-    Moving it keeps its row finite; callers give such a z its nodal value.
+    A snapped z is moved off [0, 1] in R, which keeps its row finite; callers
+    give such a z its nodal value.
     """
-    near, snap = _snap(grid, z)
-    cauchy = np.subtract.outer(np.where(snap, -1.0, z), grid.z_points)
+    nodes = grid.z_points
+    right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
+    near = right - (z - nodes[right - 1] < nodes[right] - z)
+    snap = np.abs(z - nodes[near]) <= _SNAP_TOL
+    cauchy = np.subtract.outer(np.where(snap, -1.0, z), nodes)
     np.reciprocal(cauchy, out=cauchy)
     return cauchy, near, snap
-
-
-def _interpolate_z(grid: CollocationGrid, values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The interpolant of ``values`` (N+1,) or (N+1, c) at 1-d mapped coordinates z.
-
-    Second barycentric form: every channel shares one Cauchy matrix R, and
-    p = (R @ (w values)) / (R @ w).  A snapped z takes its nodal value exactly.
-    """
-    cauchy, near, snap = _cauchy(grid, z)
-    w = grid.bary_weights
-    den = cauchy @ w
-    if values.ndim == 2:
-        w, den = w[:, None], den[:, None]
-    out = (cauchy @ (w * values)) / den
-    out[snap] = values[near[snap]]
-    return out
 
 
 def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     """Tabulate all N+1 cardinal functions at mapped coordinates z.
 
     Returns an array of shape (len(z), N+1); row m holds F_j(z_m) for all j.
-    It is the interpolant of the identity, F_j(z) = (w_j / (z - z_j)) / S(z)
-    with S as in ``basis_product``, formed entry by entry rather than as a
-    product with the identity, so column j is bitwise what ``interpolate``
-    gives for the unit vector e_j.  Taking z rather than theta spares a caller
-    who knows z exactly a lossy power round trip.
+    In the second barycentric form F_j(z) = (w_j / (z - z_j)) / S(z) with
+    S(z) = sum_l w_l / (z - z_l) = 4^-N / prod_l (z - z_l), which never
+    vanishes.  It is formed entry by entry rather than as a product with the
+    identity, so column j is bitwise what ``interpolate`` gives for the unit
+    vector e_j.  Taking z rather than theta spares a caller who knows z
+    exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     cauchy, near, snap = _cauchy(grid, z)
     w = grid.bary_weights
     out = (cauchy * w) / (cauchy @ w)[:, None]
     out[snap] = np.eye(grid.n + 1)[near[snap]]
-    return out
-
-
-def basis_product(grid: CollocationGrid, v, z) -> np.ndarray:
-    """Row-wise ``v @ basis_matrix_z(grid, z)`` without forming the basis table.
-
-    ``z`` has shape (m, K) and ``v`` broadcasts to it, or to (c, m, K) for c
-    channels; row r of the (m, N+1) or (c, m, N+1) result is
-    sum_k v[..., r, k] F_j(z[r, k]).  In the second barycentric form
-    F_j(z) = (w_j / (z - z_j)) / S(z) with S(z) = sum_l w_l / (z - z_l), so with
-    the Cauchy matrix R = 1 / (z - z_j) the product is w * ((v / S) @ R); every
-    channel shares R and S.  S(z) = 4^-N / prod_l (z - z_l) never vanishes.  A z
-    within ``_SNAP_TOL`` of a node adds its v to that node's column only.
-    """
-    v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
-    cauchy, near, snap = _cauchy(grid, z)
-    w = grid.bary_weights
-    coef = np.where(snap, 0.0, v / (cauchy @ w))
-    # (m, c, K) @ (m, K, N+1): one product per row for all channels
-    rows = coef.reshape(-1, *z.shape).transpose(1, 0, 2) @ cauchy
-    out = w * rows.transpose(1, 0, 2).reshape(coef.shape[:-1] + w.shape)
-    if snap.any():
-        r, k = np.nonzero(snap)
-        np.add.at(out, (..., r, near[r, k]), np.broadcast_to(v, coef.shape)[..., r, k])
     return out
 
 
@@ -163,8 +122,8 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     block [a, b) builds the Cauchy array of the points z_i z_l only for l >= a:
     its rows take the pairs (i, l) directly, and the rows l >= b take the same
     entries as their pairs (l, i).  Each direction is one batched product,
-    w * ((W / S) @ R) as in ``basis_product``, and a block holds at most
-    ``_BLOCK_ENTRIES`` Cauchy entries; at N+1 rows of one block that is
+    w * ((W / S) @ R) with S as in ``basis_matrix_z``, and a block holds at
+    most ``_BLOCK_ENTRIES`` Cauchy entries; at N+1 rows of one block that is
     (N+1)^3 entries in all, and about half of it once the table spans many
     blocks.  A z_i z_l within ``_SNAP_TOL`` of a node adds its weights, in both
     directions, to that node's column only.
@@ -215,5 +174,13 @@ def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
             f"expected {grid.n + 1} nodal values per channel, got shape {values.shape}"
         )
     theta = np.asarray(theta, dtype=float)
-    out = _interpolate_z(grid, values, theta.ravel() ** grid.lam)
+    # second barycentric form: every channel shares one Cauchy matrix R, and
+    # p = (R @ (w values)) / (R @ w); a snapped point takes its nodal value
+    cauchy, near, snap = _cauchy(grid, theta.ravel() ** grid.lam)
+    w = grid.bary_weights
+    den = cauchy @ w
+    if values.ndim == 2:
+        w, den = w[:, None], den[:, None]
+    out = (cauchy @ (w * values)) / den
+    out[snap] = values[near[snap]]
     return out.reshape(theta.shape + values.shape[1:])

@@ -146,9 +146,7 @@ def test_criterion_04_row_integration_identity():
         p = zero_problem()
         n = 8
         grid = build_grid(n, -0.5, -0.5, lam)
-        qmu = to_fractional(gauss_jacobi(n + 1, -p.mu, 1.0 / lam - 1.0), lam)
-        qhat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
-        sysm = assemble(scale_to_unit(p), grid, qmu, qhat)
+        sysm = assemble(scale_to_unit(p), grid)
         for _ in range(20):
             coeffs = rng.uniform(-1.0, 1.0, n + 1)
             nodal = sum(c * grid.points ** (k * lam) for k, c in enumerate(coeffs))
@@ -171,14 +169,12 @@ def test_criterion_05_degenerate_solves():
     lam, n = 0.5, 8
     p0 = zero_problem()
     grid = build_grid(n, -0.5, -0.5, lam)
-    qmu = to_fractional(gauss_jacobi(n + 1, -p0.mu, 1.0 / lam - 1.0), lam)
-    qhat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
-    sol0 = solve(assemble(scale_to_unit(p0), grid, qmu, qhat))
+    sol0 = solve(assemble(scale_to_unit(p0), grid))
     zero_err = max(
         float(np.max(np.abs(v))) for v in (sol0.u_star, sol0.u, sol0.v)
     )
     c = 3.5
-    solc = solve(assemble(scale_to_unit(zero_problem(y0=c)), grid, qmu, qhat))
+    solc = solve(assemble(scale_to_unit(zero_problem(y0=c)), grid))
     const_err = max(
         float(np.max(np.abs(solc.u_star))),
         float(np.max(np.abs(solc.u - c))),

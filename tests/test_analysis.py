@@ -143,6 +143,26 @@ def test_sweep_validates_n_list():
         convergence_sweep(p, SolverConfig(), [6, 4])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("l2_points", 0), ("linf_points", 1), ("lam", 0.0), ("lam", 1.5), ("lam", math.nan)],
+)
+def test_config_rejects_bad_values_before_any_solve(monkeypatch, field, value):
+    import muntzvide.analysis
+
+    calls = []
+    original = muntzvide.analysis.solve_once
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(muntzvide.analysis, "solve_once", counted)
+    with pytest.raises(ValueError, match=field):
+        convergence_sweep(make_example("5.1"), SolverConfig(**{field: value}), [4, 6])
+    assert calls == []
+
+
 def test_sweep_without_exact_needs_reference():
     p = make_example("5.4")
     with pytest.raises(ValueError):

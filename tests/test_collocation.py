@@ -24,7 +24,6 @@ from muntzvide import (
     solve,
     to_fractional,
 )
-from muntzvide.muntz_basis import basis_product
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -41,17 +40,16 @@ def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
     )
 
 
-def rules_for(n, mu, lam, npts=None):
-    npts = npts or n + 1
-    qmu = to_fractional(gauss_jacobi(npts, -mu, 1.0 / lam - 1.0), lam)
-    qhat = to_fractional(gauss_jacobi(npts, 0.0, 1.0 / lam - 1.0), lam)
+def rules_for(n, mu, lam):
+    """The two (N+1)-point rules ``assemble`` builds, for the row-wise references."""
+    qmu = to_fractional(gauss_jacobi(n + 1, -mu, 1.0 / lam - 1.0), lam)
+    qhat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
     return qmu, qhat
 
 
-def assembled(problem, n, lam, alpha=-0.5, beta_=-0.5, npts=None):
+def assembled(problem, n, lam, alpha=-0.5, beta_=-0.5):
     grid = build_grid(n, alpha, beta_, lam)
-    qmu, qhat = rules_for(n, problem.mu, lam, npts)
-    return grid, assemble(scale_to_unit(problem), grid, qmu, qhat)
+    return grid, assemble(scale_to_unit(problem), grid)
 
 
 # --- transformed kernel ---------------------------------------------------------
@@ -228,14 +226,13 @@ def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
     # scaled problem, the only place assembly reads it
     scaled = dataclasses.replace(scale_to_unit(kernel_problem(mu, eps=min(eps, 0.999))), eps=eps)
     grid = build_grid(n, -0.5, -0.5, lam)
-    rules = rules_for(n, mu, lam)
-    sysm = assemble(scaled, grid, *rules)
-    _, d_ref, _, h_ref = rowwise_assembly(scaled, grid, *rules)
+    sysm = assemble(scaled, grid)
+    _, d_ref, _, h_ref = rowwise_assembly(scaled, grid, *rules_for(n, mu, lam))
     for got, ref in ((sysm.D, d_ref), (sysm.H, h_ref)):
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
     if eps == 1.0:
         # at eps = 1 the delayed points are the nodes: L is exactly the identity
-        L = basis_product(grid, 1.0, (eps**lam * grid.z_points)[:, None])
+        L = basis_matrix_z(grid, eps**lam * grid.z_points)
         assert np.array_equal(L, np.eye(n + 1))
         assert np.array_equal(sysm.H, sysm.E)
 
@@ -293,14 +290,6 @@ def test_interpolatory_weights_reproduce_quad_hat_moments(n, lam, mu):
         np.testing.assert_allclose((grid.z_points**k) @ weights, want, rtol=1e-14, atol=0)
 
 
-def test_assemble_needs_n_plus_one_quad_mu_nodes():
-    p = zero_problem()
-    grid = build_grid(4, -0.5, -0.5, 0.5)
-    qmu, qhat = rules_for(4, p.mu, 0.5, npts=4)
-    with pytest.raises(ValueError, match="N\\+1"):
-        assemble(scale_to_unit(p), grid, qmu, qhat)
-
-
 def test_assembly_calls_each_kernel_once():
     n = 40
     calls = {"k1": [], "k2": []}
@@ -322,27 +311,14 @@ def test_assembly_scratch_memory_at_large_n():
     p = scale_to_unit(make_example("5.4"))
     n, lam = 192, 0.5
     grid = build_grid(n, -0.5, -0.5, lam)
-    rules = rules_for(n, p.mu, lam)
-    assemble(p, grid, *rules)
+    assemble(p, grid)
     tracemalloc.start()
     try:
-        assemble(p, grid, *rules)
+        assemble(p, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
-
-
-def test_assemble_validates_rule_parameters():
-    p = zero_problem()
-    grid = build_grid(4, -0.5, -0.5, 0.5)
-    qmu, qhat = rules_for(4, p.mu, 0.5)
-    bad_mu = to_fractional(gauss_jacobi(5, -0.25, 1.0), 0.5)  # wrong alpha
-    with pytest.raises(ValueError):
-        assemble(scale_to_unit(p), grid, bad_mu, qhat)
-    bad_lam = to_fractional(gauss_jacobi(5, -0.5, 1.0), 1.0)  # wrong lambda
-    with pytest.raises(ValueError):
-        assemble(scale_to_unit(p), grid, bad_lam, qhat)
 
 
 def test_assemble_requires_forcing():
@@ -352,9 +328,8 @@ def test_assemble_requires_forcing():
         mu=p.mu, eps=p.eps, T=p.T, y0=p.y0,
     )
     grid = build_grid(4, -0.5, -0.5, 0.5)
-    qmu, qhat = rules_for(4, p.mu, 0.5)
     with pytest.raises(ValueError):
-        assemble(scale_to_unit(skeleton), grid, qmu, qhat)
+        assemble(scale_to_unit(skeleton), grid)
 
 
 # --- solve ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from muntzvide import (
     to_fractional,
 )
 from muntzvide import muntz_basis
-from muntzvide.muntz_basis import basis_product
 
 LAMBDAS = [1.0, 0.5, 1.0 / 3.0]
 
@@ -192,50 +191,22 @@ def test_snapping_tolerance_near_grid_point():
     assert np.array_equal(interpolate(grid, values, near), [values[2], values[2]])
 
 
-@pytest.mark.parametrize("n, lam", [(8, 1.0), (40, 0.5), (64, 1.0 / 3.0)])
-def test_basis_product_matches_basis_table(n, lam):
-    # row r of the product is v[r] @ basis_matrix_z(grid, z[r]), also where a
-    # z hits a node exactly, lies within rounding of one, or is the origin
+@pytest.mark.parametrize("n, lam", [(6, 0.5), (8, 1.0), (40, 0.5), (64, 1.0 / 3.0)])
+def test_basis_table_snaps_nodes_and_stays_finite_at_the_ends(n, lam):
+    # exact node hits and nodes +- 1e-16 take exact Kronecker rows; z = 0 and
+    # z = 1 lie outside the nodes' hull and still give finite rows summing to 1
     grid = build_grid(n, -0.5, -0.5, lam)
     nodes = grid.z_points
-    rng = np.random.default_rng(n)
-    z = rng.uniform(0.0, 1.0, (4, n + 1))
-    z[0, :3] = nodes[[0, n // 2, n]]
-    z[1, 0] = nodes[1] + 1e-16
-    z[2, 0] = 0.0
-    z[3, 0] = nodes[0] * (1.0 + 2e-16)
-    v = rng.standard_normal(z.shape)
-    got = basis_product(grid, v, z)
-    want = np.array([vr @ basis_matrix_z(grid, zr) for vr, zr in zip(v, z)])
-    assert got.shape == (4, n + 1)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-
-
-def test_basis_product_snaps_nodes_and_broadcasts_weights():
-    # z on the nodes gives the Kronecker table: the product returns v itself
-    grid = build_grid(6, -0.5, -0.5, 0.5)
-    v = np.arange(1.0, 8.0)
-    assert np.array_equal(basis_product(grid, v, grid.z_points[None, :]), v[None, :])
-    # a 1-d v is shared by every row
-    z = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.9]])
-    w = np.array([0.5, -1.0, 2.0])
-    assert np.array_equal(basis_product(grid, w, z), basis_product(grid, np.tile(w, (2, 1)), z))
-
-
-@pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
-def test_multichannel_basis_product_equals_per_channel_calls(n, lam):
-    grid = build_grid(n, -0.5, -0.5, lam)
-    rng = np.random.default_rng(n)
-    z = rng.uniform(0.0, 1.0, (5, n + 1))
-    z[0, :3] = grid.z_points[[0, n // 2, n]]  # node hits snap in every channel
-    z[1, 0] = grid.z_points[1] + 1e-16
-    v = rng.standard_normal((3,) + z.shape)
-    got = basis_product(grid, v, z)
-    assert got.shape == (3, 5, n + 1)
-    for c in range(3):
-        want = basis_product(grid, v[c], z)
-        # one matrix product for all channels accumulates in another order
-        np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-14 * np.abs(want).max())
+    z = np.concatenate([nodes, nodes + 1e-16, nodes - 1e-16, [0.0, 1.0]])
+    table = basis_matrix_z(grid, z)
+    assert table.shape == (z.size, n + 1)
+    assert np.array_equal(table[: 3 * (n + 1)], np.tile(np.eye(n + 1), (3, 1)))
+    assert np.isfinite(table).all()
+    np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    if n <= 8:
+        theta = z ** (1.0 / lam)
+        want = np.column_stack([direct_product_basis(grid, j, theta) for j in range(n + 1)])
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
