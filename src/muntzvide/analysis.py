@@ -53,7 +53,7 @@ class InsufficientDataError(ValueError):
     """Not enough successful sweep rows to fit a rate."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for a single solve or a sweep.
 
@@ -61,7 +61,8 @@ class SolverConfig:
     The kernel and integration rules have N+1 points (one per unknown), and
     the L2 norm is weighted by the grid's (alpha, beta).  A ``lam`` outside
     (0, 1], ``l2_points < 1`` or ``linf_points < 2`` raises ``ValueError``
-    here, before any solve.
+    here, before any solve.  A config is frozen: make a variant with
+    ``dataclasses.replace``, which checks it again.
     """
 
     lam: Optional[float] = None
@@ -94,7 +95,6 @@ class SweepRow:
 @dataclass
 class ConvergenceTable:
     rows: list[SweepRow] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -156,13 +156,9 @@ def linf_error(
     return float(_sup_norm(sample(err_fn, pts)))
 
 
-def _resolve_lam(problem: VideProblem, config: SolverConfig) -> float:
-    return config.lam if config.lam is not None else default_lambda(problem.mu)
-
-
 def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     """One collocation solve; returns (grid, solution, runtime_ms)."""
-    lam = _resolve_lam(problem, config)
+    lam = config.lam if config.lam is not None else default_lambda(problem.mu)
     start = perf_counter()
     grid = build_grid(n, config.alpha, config.beta, lam)
     sol = solve(assemble(scale_to_unit(problem), grid))
@@ -226,17 +222,7 @@ def convergence_sweep(
             raise ValueError(
                 f"reference order {reference.grid.n} must exceed the largest sweep order {max(n_list)}"
             )
-    table = ConvergenceTable(
-        meta={
-            "problem": problem.label,
-            "lambda": _resolve_lam(problem, config),
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "eps": problem.eps,
-            "mu": problem.mu,
-            "T": problem.T,
-        }
-    )
+    table = ConvergenceTable()
     # one cache per call: a reference is interpolated at the N-independent
     # points once per sweep, and nothing is kept between sweeps
     fixed: dict = {}

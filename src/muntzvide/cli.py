@@ -14,10 +14,15 @@ runtime_ms`` with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
 byte-identical files; set ``timing = on`` for wall-clock values.
 
-Each config key is declared once, on its ``RunSpec`` field.  Exit status: 0
-when every row succeeded, 1 when a sweep row failed or a ``solve`` or
-``compare`` solve raised a solver error (one ``error:`` line, no CSV), 2 for
-a configuration error or an output file that cannot be written.
+Each config key is declared once, on its ``RunSpec`` field.  A ``RunSpec``
+is frozen and checks itself when it is built, from a config or by hand: the
+rules between keys are in ``RunSpec.__post_init__``, and ``lambda``,
+``linf_grid`` and ``l2_quad`` are checked by ``SolverConfig``, with the key
+named in the ``ConfigError``.
+
+Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
+``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
+CSV), 2 for a configuration error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -118,8 +123,13 @@ def _key(name: str, parse, default=MISSING, custom_only: bool = False):
     return field(default=default, metadata={"key": name, "parse": parse, "custom_only": custom_only})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
+    """One run; ``parse_config`` checks each value's syntax as it reads it.
+
+    A custom-only field is None unless its key was given.
+    """
+
     mode: str = _key("mode", _choice(*MODES))
     problem: str = _key("problem", _choice("custom", *EXAMPLE_KEYS))
     n_values: tuple[int, ...] = _key("N", _parse_n_values)
@@ -128,8 +138,8 @@ class RunSpec:
     beta: float = _key("beta", float, SolverConfig.beta)
     forcing: Optional[str] = _key("forcing", _choice("corrected", "printed"), None)
     output: str = _key("output", str, "results.csv")
-    linf_grid: int = _key("linf_grid", int, SolverConfig.linf_points)
-    l2_quad: Optional[int] = _key("l2_quad", int, None)
+    linf_points: int = _key("linf_grid", int, SolverConfig.linf_points)
+    l2_points: Optional[int] = _key("l2_quad", int, None)
     ref_n: Optional[int] = _key("ref_N", int, None)
     eps: Optional[float] = _key("eps", float, None)
     mu: Optional[float] = _key("mu", float, None)
@@ -142,14 +152,48 @@ class RunSpec:
     k2: Optional[str] = _key("K2", _choice(*_KERNELS), None, custom_only=True)
     timing: bool = _key("timing", _parse_bool, False)
 
+    def __post_init__(self):
+        if self.problem != "custom":
+            for name in _CUSTOM_ONLY:
+                if getattr(self, name) is not None:
+                    raise ConfigError(f"key {_KEY[name]!r} is only valid with problem = custom")
+        # each SolverConfig rule reads one field, so checking the fields one
+        # at a time names the key at fault
+        for name in _SOLVER_FIELDS:
+            try:
+                SolverConfig(**{name: getattr(self, name)})
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
+        if self.mode == "compare":
+            if self.ref_n is None:
+                raise ConfigError("compare mode requires key 'ref_N'")
+            if self.ref_n <= max(self.n_values):
+                raise ConfigError(
+                    f"key 'ref_N' must exceed the largest N ({max(self.n_values)}), got {self.ref_n}"
+                )
+        if self.mode == "solve" and len(self.n_values) != 1:
+            raise ConfigError("solve mode takes a single N, not a range")
+        if self.problem == "custom":
+            if self.mu is None:
+                raise ConfigError("custom problems require key 'mu'")
+            if self.forcing is not None:
+                raise ConfigError("key 'forcing' picks a registry forcing; custom problems take 'f1'")
+
+
+# built once per module: field name -> key, key -> field
+_KEY = {f.name: f.metadata["key"] for f in fields(RunSpec)}
+_FIELD = {f.metadata["key"]: f for f in fields(RunSpec)}
+_CUSTOM_ONLY = tuple(f.name for f in fields(RunSpec) if f.metadata["custom_only"])
+# the RunSpec fields handed to SolverConfig by name
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig))
+
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> RunSpec:
-    """Parse and validate a flat key = value configuration.
+    """Parse a flat key = value configuration into a checked ``RunSpec``.
 
     ``overrides`` are ``key=value`` items read after the text, as ``--set``
     gives them; an error in one names the item, not a line.
     """
-    by_key = {f.metadata["key"]: f for f in fields(RunSpec)}
     raw: dict[str, str] = {}
     lines = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)]
     for where, line in lines + [(f"--set {item}", item) for item in overrides]:
@@ -160,53 +204,24 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunSpec:
             raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in by_key:
+        if key not in _FIELD:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{where}: empty value for key {key!r}")
         raw[key] = value  # last occurrence wins
 
-    missing = [k for k, f in by_key.items() if f.default is MISSING and k not in raw]
+    missing = [k for k, f in _FIELD.items() if f.default is MISSING and k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     kwargs = {}
     for key, value in raw.items():
-        f = by_key[key]
+        f = _FIELD[key]
         try:
             kwargs[f.name] = f.metadata["parse"](value)
         except ValueError as exc:
             raise ConfigError(f"invalid value for key {key!r}: {exc}") from exc
-    if kwargs["problem"] != "custom":
-        for key in raw:
-            if by_key[key].metadata["custom_only"]:
-                raise ConfigError(f"key {key!r} is only valid with problem = custom")
-    spec = RunSpec(**kwargs)
-    _validate(spec)
-    return spec
-
-
-def _validate(spec: RunSpec) -> None:
-    if spec.lam is not None and not 0.0 < spec.lam <= 1.0:
-        raise ConfigError(f"key 'lambda' must lie in (0, 1], got {spec.lam}")
-    if spec.linf_grid < 2:
-        raise ConfigError(f"key 'linf_grid' must be >= 2, got {spec.linf_grid}")
-    if spec.l2_quad is not None and spec.l2_quad < 1:
-        raise ConfigError(f"key 'l2_quad' must be >= 1, got {spec.l2_quad}")
-    if spec.mode == "compare":
-        if spec.ref_n is None:
-            raise ConfigError("compare mode requires key 'ref_N'")
-        if spec.ref_n <= max(spec.n_values):
-            raise ConfigError(
-                f"key 'ref_N' must exceed the largest N ({max(spec.n_values)}), got {spec.ref_n}"
-            )
-    if spec.mode == "solve" and len(spec.n_values) != 1:
-        raise ConfigError("solve mode takes a single N, not a range")
-    if spec.problem == "custom":
-        if spec.mu is None:
-            raise ConfigError("custom problems require key 'mu'")
-        if spec.forcing is not None:
-            raise ConfigError("key 'forcing' picks a registry forcing; custom problems take 'f1'")
+    return RunSpec(**kwargs)
 
 
 def build_problem(spec: RunSpec) -> VideProblem:
@@ -281,13 +296,7 @@ def run(spec: RunSpec) -> int:
             f"problem {spec.problem} has no exact solution to sweep against; "
             "use compare mode, which measures errors against a reference solve at key 'ref_N'"
         )
-    config = SolverConfig(
-        lam=spec.lam,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        l2_points=spec.l2_quad,
-        linf_points=spec.linf_grid,
-    )
+    config = SolverConfig(**{name: getattr(spec, name) for name in _SOLVER_FIELDS})
 
     if spec.mode == "solve":
         _, sol, runtime_ms = solve_once(problem, spec.n_values[0], config)

@@ -79,9 +79,6 @@ class FractionalRule:
     whose lambda-power is known exactly in z coordinates.
     """
 
-    lam: float
-    alpha: float
-    beta: float
     nodes: np.ndarray
     weights: np.ndarray
     z_nodes: np.ndarray
@@ -158,14 +155,7 @@ def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
     weights = rule.weights * 2.0 ** -(rule.alpha + rule.beta + 1.0)
     for arr in (z, theta, weights):
         arr.flags.writeable = False
-    return FractionalRule(
-        lam=lam,
-        alpha=rule.alpha,
-        beta=rule.beta,
-        nodes=theta,
-        weights=weights,
-        z_nodes=z,
-    )
+    return FractionalRule(nodes=theta, weights=weights, z_nodes=z)
 
 
 def singular_ratio(xi, lam: float, mu: float):

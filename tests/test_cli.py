@@ -1,12 +1,12 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from muntzvide.analysis import ConvergenceTable, SweepRow
+from muntzvide.analysis import ConvergenceTable, SolverConfig, SweepRow
 from muntzvide.cli import (
     _COEFFS,
     _KERNELS,
@@ -34,6 +34,8 @@ def test_parse_sweep_config():
     assert spec.problem == "5.2"
     assert spec.lam == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert spec.n_values == (5, 7, 9, 11, 13)
+    with pytest.raises(FrozenInstanceError):
+        spec.lam = 1.5
 
 
 def test_parse_empty_text_lists_missing_keys():
@@ -88,6 +90,56 @@ def test_parse_custom_problem_keys():
         parse_config("mode = solve\nproblem = 5.1\nN = 6\na1 = one\n")
     with pytest.raises(ConfigError, match="mu"):
         parse_config("mode = solve\nproblem = custom\nN = 6\n")
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"mode": "compare", "problem": "5.4"}, "ref_N"),
+        ({"mode": "compare", "problem": "5.4", "ref_n": 6}, "ref_N"),
+        ({"n_values": (4, 6)}, "N"),
+        ({"a1": "one"}, "a1"),
+        ({"problem": "custom"}, "mu"),
+        ({"lam": 1.5}, "lambda"),
+        ({"linf_points": 1}, "linf_grid"),
+        ({"l2_points": 0}, "l2_quad"),
+    ],
+    ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
+         "lambda", "linf_grid", "l2_quad"],
+)
+def test_hand_built_spec_is_checked_before_any_solve(tmp_path, monkeypatch, changes, key):
+    import muntzvide.analysis as analysis
+    import muntzvide.cli as cli
+
+    calls, original = [], analysis.solve_once
+    counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
+    monkeypatch.setattr(cli, "solve_once", counted)
+    monkeypatch.setattr(analysis, "solve_once", counted)
+    kwargs = {"mode": "solve", "problem": "5.1", "n_values": (6,), "output": str(tmp_path / "x.csv")}
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        run(RunSpec(**{**kwargs, **changes}))
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_solver_key_reaches_the_config(tmp_path, monkeypatch):
+    import muntzvide.cli as cli
+
+    seen = []
+    row = SweepRow(n=4, l2_e=1e-3, linf_e=1e-3, l2_estar=1e-3, linf_estar=1e-3, runtime_ms=0.0)
+
+    def capture(problem, config, n_values, reference=None):
+        seen.append(config)
+        return ConvergenceTable(rows=[row])
+
+    monkeypatch.setattr(cli, "convergence_sweep", capture)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / 'x.csv'}\n")
+    overrides = ["lambda=0.25", "alpha=0", "beta=0.5", "linf_grid=301", "l2_quad=50"]
+    assert main(["sweep", "--config", str(cfg), *[a for o in overrides for a in ("--set", o)]]) == 0
+    want = SolverConfig(lam=0.25, alpha=0.0, beta=0.5, l2_points=50, linf_points=301)
+    assert seen == [want]
+    assert all(getattr(want, f.name) != f.default for f in fields(SolverConfig))
 
 
 def test_readme_key_table_matches_runspec():
