@@ -19,7 +19,7 @@ from .problem import (
     sample,
     scale_to_unit,
 )
-from .quadrature import QuadratureError, gauss_jacobi, to_fractional
+from .quadrature import QuadratureError, _validate_exponents, gauss_jacobi, to_fractional
 
 __all__ = [
     "SOLVER_ERRORS",
@@ -60,9 +60,9 @@ class SolverConfig:
     ``lam`` is the one basis-exponent setting; None uses default_lambda(mu).
     The kernel and integration rules have N+1 points (one per unknown), and
     the L2 norm is weighted by the grid's (alpha, beta).  A ``lam`` outside
-    (0, 1], ``l2_points < 1`` or ``linf_points < 2`` raises ``ValueError``
-    here, before any solve.  A config is frozen: make a variant with
-    ``dataclasses.replace``, which checks it again.
+    (0, 1], an exponent not above -1, ``l2_points < 1`` or ``linf_points < 2``
+    raises ``ValueError`` here, before any solve.  A config is frozen: make a
+    variant with ``dataclasses.replace``, which checks it again.
     """
 
     lam: Optional[float] = None
@@ -74,6 +74,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+        _validate_exponents(self.alpha, self.beta)
         if self.l2_points is not None and self.l2_points < 1:
             raise ValueError(f"l2_points must be >= 1, got {self.l2_points}")
         if self.linf_points < 2:

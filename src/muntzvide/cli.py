@@ -14,11 +14,11 @@ runtime_ms`` with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
 byte-identical files; set ``timing = on`` for wall-clock values.
 
-Each config key is declared once, on its ``RunSpec`` field.  A ``RunSpec``
-is frozen and checks itself when it is built, from a config or by hand: the
-rules between keys are in ``RunSpec.__post_init__``, and ``lambda``,
-``linf_grid`` and ``l2_quad`` are checked by ``SolverConfig``, with the key
-named in the ``ConfigError``.
+Each config key is declared once, on its ``RunSpec`` field, with its parser
+(text to value, syntax only) and any choices.  A frozen ``RunSpec`` checks
+every value when it is built, from a config or by hand; ``lambda``,
+``alpha``, ``beta``, ``linf_grid`` and ``l2_quad`` through ``SolverConfig``,
+with the key named in the ``ConfigError``.
 
 Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
 ``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .analysis import (
     reference_solution,
     solve_once,
 )
-from .problem import EXAMPLE_KEYS, VideProblem, exact_phi_pair, make_example
+from .problem import EXAMPLE_KEYS, FORCINGS, VideProblem, exact_phi_pair, make_example
 
 __all__ = [
     "ConfigError",
@@ -84,21 +85,15 @@ class ConfigError(ValueError):
 
 
 def _parse_n_values(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("ranges are start:stop:step")
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0:
-            raise ValueError("range step must be positive")
-        values = tuple(range(start, stop + 1, step))
-    else:
-        values = (int(text),)
-    if not values:
-        raise ValueError("empty N range")
-    if any(n < 2 for n in values):
-        raise ValueError("every N must be >= 2")
-    return values
+    if ":" not in text:
+        return (int(text),)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("ranges are start:stop:step")
+    start, stop, step = (int(p) for p in parts)
+    if step <= 0:
+        raise ValueError("range step must be positive")
+    return tuple(range(start, stop + 1, step))
 
 
 def _parse_bool(text: str) -> bool:
@@ -109,34 +104,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected on/off")
 
 
-def _choice(*options: str):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {options}, got {text!r}")
-        return text
-
-    return parse
-
-
-def _key(name: str, parse, default=MISSING, custom_only: bool = False):
-    """A RunSpec field read from config key ``name``; no default means required."""
-    return field(default=default, metadata={"key": name, "parse": parse, "custom_only": custom_only})
+def _key(name: str, parse, default=MISSING, custom_only: bool = False, choices: Iterable[str] = ()):
+    """A RunSpec field read from config key ``name`` by ``parse``; no default means required."""
+    metadata = {"key": name, "parse": parse, "custom_only": custom_only, "choices": tuple(choices)}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One run; ``parse_config`` checks each value's syntax as it reads it.
+    """One run, checked when it is built, from a config or by hand.
 
-    A custom-only field is None unless its key was given.
+    A custom-only field is None unless its key was given.  ``n_values`` must
+    be non-empty and strictly increasing, with each N >= 2.
     """
 
-    mode: str = _key("mode", _choice(*MODES))
-    problem: str = _key("problem", _choice("custom", *EXAMPLE_KEYS))
+    mode: str = _key("mode", str, choices=MODES)
+    problem: str = _key("problem", str, choices=("custom", *EXAMPLE_KEYS))
     n_values: tuple[int, ...] = _key("N", _parse_n_values)
     lam: Optional[float] = _key("lambda", float, None)
     alpha: float = _key("alpha", float, SolverConfig.alpha)
     beta: float = _key("beta", float, SolverConfig.beta)
-    forcing: Optional[str] = _key("forcing", _choice("corrected", "printed"), None)
+    forcing: Optional[str] = _key("forcing", str, None, choices=FORCINGS)
     output: str = _key("output", str, "results.csv")
     linf_points: int = _key("linf_grid", int, SolverConfig.linf_points)
     l2_points: Optional[int] = _key("l2_quad", int, None)
@@ -145,33 +133,42 @@ class RunSpec:
     mu: Optional[float] = _key("mu", float, None)
     horizon: Optional[float] = _key("T", float, None)
     y0: Optional[float] = _key("y0", float, None)
-    a1: Optional[str] = _key("a1", _choice(*_COEFFS), None, custom_only=True)
-    b1: Optional[str] = _key("b1", _choice(*_COEFFS), None, custom_only=True)
-    f1: Optional[str] = _key("f1", _choice(*_COEFFS), None, custom_only=True)
-    k1: Optional[str] = _key("K1", _choice(*_KERNELS), None, custom_only=True)
-    k2: Optional[str] = _key("K2", _choice(*_KERNELS), None, custom_only=True)
+    a1: Optional[str] = _key("a1", str, None, custom_only=True, choices=_COEFFS)
+    b1: Optional[str] = _key("b1", str, None, custom_only=True, choices=_COEFFS)
+    f1: Optional[str] = _key("f1", str, None, custom_only=True, choices=_COEFFS)
+    k1: Optional[str] = _key("K1", str, None, custom_only=True, choices=_KERNELS)
+    k2: Optional[str] = _key("K2", str, None, custom_only=True, choices=_KERNELS)
     timing: bool = _key("timing", _parse_bool, False)
 
     def __post_init__(self):
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value is not None and value not in choices:
+                raise ConfigError(f"invalid value for key {_KEY[name]!r}: must be one of {choices}, got {value!r}")
+        n = self.n_values
+        if not (n and all(isinstance(k, numbers.Integral) and k >= 2 for k in n) and list(n) == sorted(set(n))):
+            raise ConfigError(f"invalid value for key 'N': every N must be an integer >= 2, in increasing order, got {tuple(n)}")
         if self.problem != "custom":
             for name in _CUSTOM_ONLY:
                 if getattr(self, name) is not None:
                     raise ConfigError(f"key {_KEY[name]!r} is only valid with problem = custom")
-        # each SolverConfig rule reads one field, so checking the fields one
-        # at a time names the key at fault
-        for name in _SOLVER_FIELDS:
-            try:
-                SolverConfig(**{name: getattr(self, name)})
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
+        try:
+            SolverConfig(**{name: getattr(self, name) for name in _SOLVER_FIELDS})
+        except ValueError as exc:
+            # SolverConfig checks its fields in order, and each rule reads one
+            # field (the exponents' reads both), so the first to fail alone is at fault
+            for name in _SOLVER_FIELDS:
+                try:
+                    SolverConfig(**{name: getattr(self, name)})
+                except ValueError:
+                    raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
         if self.mode == "compare":
             if self.ref_n is None:
                 raise ConfigError("compare mode requires key 'ref_N'")
-            if self.ref_n <= max(self.n_values):
-                raise ConfigError(
-                    f"key 'ref_N' must exceed the largest N ({max(self.n_values)}), got {self.ref_n}"
-                )
-        if self.mode == "solve" and len(self.n_values) != 1:
+            if self.ref_n <= max(n):
+                raise ConfigError(f"key 'ref_N' must exceed the largest N ({max(n)}), got {self.ref_n}")
+        if self.mode == "solve" and len(n) != 1:
             raise ConfigError("solve mode takes a single N, not a range")
         if self.problem == "custom":
             if self.mu is None:
@@ -184,6 +181,7 @@ class RunSpec:
 _KEY = {f.name: f.metadata["key"] for f in fields(RunSpec)}
 _FIELD = {f.metadata["key"]: f for f in fields(RunSpec)}
 _CUSTOM_ONLY = tuple(f.name for f in fields(RunSpec) if f.metadata["custom_only"])
+_CHOICES = {f.name: f.metadata["choices"] for f in fields(RunSpec) if f.metadata["choices"]}
 # the RunSpec fields handed to SolverConfig by name
 _SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig))
 

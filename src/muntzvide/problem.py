@@ -54,6 +54,7 @@ __all__ = [
     "scaled_residual",
     "exact_phi_pair",
     "EXAMPLE_KEYS",
+    "FORCINGS",
 ]
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -293,17 +294,16 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
 # ---------------------------------------------------------------------------
 
 EXAMPLE_KEYS = ("5.1", "5.2", "5.3", "5.4")
+# the f1 variants of 5.1-5.3: manufactured from the exact solution, or as printed
+FORCINGS = ("corrected", "printed")
 
 
 def _with_forcing(skeleton: VideProblem, printed: Optional[ArrayFn], forcing: str) -> VideProblem:
-    if forcing == "corrected":
-        return replace(
-            skeleton,
-            f1=manufactured_forcing(skeleton.exact, skeleton.exact_deriv, skeleton),
-        )
+    if forcing not in FORCINGS:
+        raise ValueError(f"forcing must be one of {FORCINGS}, got {forcing!r}")
     if forcing == "printed":
         return replace(skeleton, f1=printed)
-    raise ValueError(f"forcing must be 'corrected' or 'printed', got {forcing!r}")
+    return replace(skeleton, f1=manufactured_forcing(skeleton.exact, skeleton.exact_deriv, skeleton))
 
 
 def _skeleton(label: str, g: ArrayFn, y: ArrayFn, yp: ArrayFn, mu: float, eps: float, T: float) -> VideProblem:

@@ -86,7 +86,7 @@ class FractionalRule:
 
 def _validate_exponents(alpha: float, beta: float) -> None:
     if not (alpha > -1.0 and beta > -1.0):  # NaN fails too
-        raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
+        raise ValueError(f"Jacobi exponents (alpha, beta) must exceed -1, got ({alpha}, {beta})")
 
 
 def _recurrence(npts: int, alpha: float, beta: float):

@@ -157,7 +157,8 @@ def _assigned(field, value):
 )
 @pytest.mark.parametrize(
     "field, value",
-    [("l2_points", 0), ("linf_points", 1), ("lam", 0.0), ("lam", 1.5), ("lam", math.nan)],
+    [("l2_points", 0), ("linf_points", 1), ("lam", 0.0), ("lam", 1.5), ("lam", math.nan),
+     ("alpha", -1.5), ("beta", -1.0)],
 )
 def test_config_rejects_bad_values_before_any_solve(monkeypatch, make, error, field, value):
     import muntzvide.analysis

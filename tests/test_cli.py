@@ -61,6 +61,8 @@ def test_parse_rejects_small_n_and_bad_ranges():
         parse_config("mode = solve\nproblem = 5.1\nN = 1\n")
     with pytest.raises(ConfigError, match="N"):
         parse_config("mode = sweep\nproblem = 5.1\nN = 4:12:0\n")
+    with pytest.raises(ConfigError, match="N"):
+        parse_config("mode = sweep\nproblem = 5.1\nN = 8:4:2\n")  # an empty range
 
 
 def test_parse_compare_requires_larger_ref():
@@ -103,9 +105,19 @@ def test_parse_custom_problem_keys():
         ({"lam": 1.5}, "lambda"),
         ({"linf_points": 1}, "linf_grid"),
         ({"l2_points": 0}, "l2_quad"),
+        ({"mode": "bogus"}, "mode"),
+        ({"problem": "5.9"}, "problem"),
+        ({"forcing": "bogus"}, "forcing"),
+        ({"problem": "custom", "mu": 0.5, "a1": "bogus"}, "a1"),
+        ({"n_values": (1,)}, "N"),
+        ({"mode": "sweep", "n_values": ()}, "N"),
+        ({"mode": "sweep", "n_values": (8, 6)}, "N"),
+        ({"alpha": -1.5}, "alpha"),
+        ({"beta": math.nan}, "beta"),
     ],
     ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
-         "lambda", "linf_grid", "l2_quad"],
+         "lambda", "linf_grid", "l2_quad", "mode", "problem", "forcing", "custom-coeff",
+         "n-below-2", "n-empty", "n-decreasing", "alpha", "beta"],
 )
 def test_hand_built_spec_is_checked_before_any_solve(tmp_path, monkeypatch, changes, key):
     import muntzvide.analysis as analysis
@@ -413,6 +425,8 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
         ("bogus=1", "error: --set bogus=1: unknown key 'bogus'"),
         ("N", "error: --set N: expected 'key = value', got 'N'"),
         ("N=", "error: --set N=: empty value for key 'N'"),
+        # a bad value is checked by RunSpec, which names the key
+        ("forcing=bogus", "error: invalid value for key 'forcing': must be one of ('corrected', 'printed'), got 'bogus'"),
     ]:
         assert main(["sweep", "--config", str(cfg), "--set", item]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
