@@ -19,7 +19,7 @@ from .problem import (
     sample,
     scale_to_unit,
 )
-from .quadrature import QuadratureError, _validate_exponents, gauss_jacobi, to_fractional
+from .quadrature import QuadratureError, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
 
 __all__ = [
     "SOLVER_ERRORS",
@@ -72,8 +72,8 @@ class SolverConfig:
     linf_points: int = 2001
 
     def __post_init__(self):
-        if self.lam is not None and not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+        if self.lam is not None:
+            _validate_lam(self.lam)
         _validate_exponents(self.alpha, self.beta)
         if self.l2_points is not None and self.l2_points < 1:
             raise ValueError(f"l2_points must be >= 1, got {self.l2_points}")
@@ -143,7 +143,7 @@ def weighted_l2_error(
 
 def linf_error(
     err_fn: Callable[[np.ndarray], np.ndarray],
-    grid_size: int = 2001,
+    grid_size: int = SolverConfig.linf_points,
     extra_points=None,
 ) -> float:
     """Max |err_fn| over a uniform grid on [~0, 1], plus any extra points.

@@ -16,9 +16,10 @@ byte-identical files; set ``timing = on`` for wall-clock values.
 
 Each config key is declared once, on its ``RunSpec`` field, with its parser
 (text to value, syntax only) and any choices.  A frozen ``RunSpec`` checks
-every value when it is built, from a config or by hand; ``lambda``,
-``alpha``, ``beta``, ``linf_grid`` and ``l2_quad`` through ``SolverConfig``,
-with the key named in the ``ConfigError``.
+every value when it is built, from a config or by hand, and names the key in
+the ``ConfigError``: ``lambda``, ``alpha``, ``beta``, ``linf_grid`` and
+``l2_quad`` by ``SolverConfig``'s rules, ``mu``, ``eps``, ``T`` and ``y0`` by
+``VideProblem``'s, and ``ref_N`` is taken in compare mode only.
 
 Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
 ``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
@@ -48,7 +49,7 @@ from .analysis import (
     reference_solution,
     solve_once,
 )
-from .problem import EXAMPLE_KEYS, FORCINGS, VideProblem, exact_phi_pair, make_example
+from .problem import EXAMPLE_KEYS, FORCINGS, VideProblem, _validate_parameters, exact_phi_pair, make_example
 
 __all__ = [
     "ConfigError",
@@ -114,8 +115,9 @@ def _key(name: str, parse, default=MISSING, custom_only: bool = False, choices: 
 class RunSpec:
     """One run, checked when it is built, from a config or by hand.
 
-    A custom-only field is None unless its key was given.  ``n_values`` must
-    be non-empty and strictly increasing, with each N >= 2.
+    A custom-only field, and ``ref_n`` outside compare mode, must be None
+    (its key not given).  ``n_values`` must be non-empty and strictly
+    increasing, with each N >= 2.
     """
 
     mode: str = _key("mode", str, choices=MODES)
@@ -163,11 +165,20 @@ class RunSpec:
                 except ValueError:
                     raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
             raise ConfigError(str(exc)) from exc
+        for name in ("mu", "eps", "horizon", "y0"):  # those given, by VideProblem's rules
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    _validate_parameters(**{_KEY[name]: value})
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
         if self.mode == "compare":
             if self.ref_n is None:
                 raise ConfigError("compare mode requires key 'ref_N'")
             if self.ref_n <= max(n):
                 raise ConfigError(f"key 'ref_N' must exceed the largest N ({max(n)}), got {self.ref_n}")
+        elif self.ref_n is not None:
+            raise ConfigError("key 'ref_N' is only valid with mode = compare")
         if self.mode == "solve" and len(n) != 1:
             raise ConfigError("solve mode takes a single N, not a range")
         if self.problem == "custom":

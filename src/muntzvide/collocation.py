@@ -25,9 +25,7 @@ quad_mu's nodes, a row's weights v_i (kernel times rule weight) become
 W_i = v_i Phi, and quad_hat's weights w^ become the one row w^ Phi^ shared by
 every row of E.  C, D~ (D at the undelayed points) and E / (theta / lam) are
 then the three channels of ``dilation_product``, which builds the table's
-Cauchy array for l >= the first row of each block only: about (N+1)^3 / 2
-entries once the rows span many blocks (3,650,209 at N = 192, against
-(N+1)^3 = 7,189,057 for the points z_i xi_k of C alone).
+Cauchy array for l >= the first row of each block only.
 
 The delayed rows D, H sample the basis at eps^lam z_i xi_k.  By the same
 argument F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y), and with the delay

@@ -92,14 +92,24 @@ class VideProblem:
     label: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not math.isfinite(self.y0):
-            raise ValueError(f"y0 must be finite, got {self.y0}")
+        _validate_parameters(mu=self.mu, eps=self.eps, T=self.T, y0=self.y0)
+
+
+# each problem parameter's range: its test, and the rule an error states
+_PARAMETER_RULES = {
+    "mu": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "eps": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "T": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    "y0": (math.isfinite, "must be finite"),
+}
+
+
+def _validate_parameters(**values: float) -> None:
+    """Check the given problem parameters, any of mu, eps, T and y0, in order."""
+    for name, value in values.items():
+        in_range, rule = _PARAMETER_RULES[name]
+        if not in_range(value):  # NaN fails every rule
+            raise ValueError(f"{name} {rule}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +303,6 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
 # benchmark registry
 # ---------------------------------------------------------------------------
 
-EXAMPLE_KEYS = ("5.1", "5.2", "5.3", "5.4")
 # the f1 variants of 5.1-5.3: manufactured from the exact solution, or as printed
 FORCINGS = ("corrected", "printed")
 
@@ -425,6 +434,7 @@ _FACTORIES = {
     "5.3": _example_5_3,
     "5.4": _example_5_4,
 }
+EXAMPLE_KEYS = tuple(_FACTORIES)
 
 
 def make_example(key: str, **overrides) -> VideProblem:

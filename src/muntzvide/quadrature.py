@@ -89,6 +89,11 @@ def _validate_exponents(alpha: float, beta: float) -> None:
         raise ValueError(f"Jacobi exponents (alpha, beta) must exceed -1, got ({alpha}, {beta})")
 
 
+def _validate_lam(lam: float) -> None:
+    if not 0.0 < lam <= 1.0:  # NaN fails too
+        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+
+
 def _recurrence(npts: int, alpha: float, beta: float):
     """Diagonal / off-diagonal of the monic-Jacobi tridiagonal matrix."""
     ab = alpha + beta
@@ -148,8 +153,7 @@ def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
 
 def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
     """Map a rule on [-1, 1] to the lambda-power rule on [0, 1]."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    _validate_lam(lam)
     z = 0.5 * (rule.nodes + 1.0)
     theta = z.copy() if lam == 1.0 else z ** (1.0 / lam)
     weights = rule.weights * 2.0 ** -(rule.alpha + rule.beta + 1.0)

@@ -114,10 +114,16 @@ def test_parse_custom_problem_keys():
         ({"mode": "sweep", "n_values": (8, 6)}, "N"),
         ({"alpha": -1.5}, "alpha"),
         ({"beta": math.nan}, "beta"),
+        ({"mu": 1.5}, "mu"),
+        ({"eps": 0.0}, "eps"),
+        ({"horizon": -1.0}, "T"),
+        ({"y0": math.nan}, "y0"),
+        ({"mode": "sweep", "ref_n": 8}, "ref_N"),
     ],
     ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
          "lambda", "linf_grid", "l2_quad", "mode", "problem", "forcing", "custom-coeff",
-         "n-below-2", "n-empty", "n-decreasing", "alpha", "beta"],
+         "n-below-2", "n-empty", "n-decreasing", "alpha", "beta", "mu", "eps", "T", "y0",
+         "ref-outside-compare"],
 )
 def test_hand_built_spec_is_checked_before_any_solve(tmp_path, monkeypatch, changes, key):
     import muntzvide.analysis as analysis
@@ -335,6 +341,15 @@ def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_of_range_problem_parameter_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    cfg.write_text(f"problem = 5.1\nN = 4:8:2\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg), "--set", "mu=1.5"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: invalid value for key 'mu': mu must lie in [0, 1), got 1.5"]
+    assert not out.exists()
+
+
 def test_non_finite_initial_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "none.csv"
@@ -355,8 +370,9 @@ def test_solver_error_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "reference_solution", fail)
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "none.csv"
-    cfg.write_text(f"problem = 5.4\nN = 4\nref_N = 8\noutput = {out}\n")
-    assert main([mode, "--config", str(cfg)]) == 1
+    cfg.write_text(f"problem = 5.4\nN = 4\noutput = {out}\n")
+    ref = ["--set", "ref_N=8"] if mode == "compare" else []
+    assert main([mode, "--config", str(cfg), *ref]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: singular collocation matrix (condition estimate inf)"]
     assert not out.exists()
 
@@ -381,9 +397,10 @@ def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "solve_once", counted)
     monkeypatch.setattr(analysis, "solve_once", counted)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"problem = 5.1\nN = 4\nref_N = 8\noutput = {tmp_path / 'missing' / 'x.csv'}\n")
+    cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / 'missing' / 'x.csv'}\n")
     for mode in MODES:
-        assert main([mode, "--config", str(cfg)]) == 2
+        ref = ["--set", "ref_N=8"] if mode == "compare" else []
+        assert main([mode, "--config", str(cfg), *ref]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
     assert calls == []

@@ -1,5 +1,6 @@
 """The package imports nothing at run time beyond the standard library, numpy and
-scipy, and each module exports only what it defines."""
+scipy, each module exports only what it defines, and the package exports what
+its modules export."""
 
 import ast
 import importlib
@@ -51,3 +52,14 @@ def test_every_exported_name_exists_and_is_defined_in_its_module():
             assert name in defined, f"{path.name} exports {name!r} but does not define it"
         exporting += hasattr(module, "__all__")
     assert exporting
+
+
+def test_package_exports_every_module_export_once():
+    # the package's __all__ is the modules' lists joined in order, with no name
+    # spelled twice, and each name is the object its module defines
+    modules = ["analysis", "collocation", "muntz_basis", "problem", "quadrature"]
+    joined = [(m, name) for m in modules for name in importlib.import_module(f"muntzvide.{m}").__all__]
+    assert muntzvide.__all__ == [name for _, name in joined]
+    assert len(set(muntzvide.__all__)) == len(muntzvide.__all__)
+    for m, name in joined:
+        assert getattr(muntzvide, name) is getattr(importlib.import_module(f"muntzvide.{m}"), name), name
