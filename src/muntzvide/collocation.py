@@ -25,7 +25,8 @@ quad_mu's nodes, a row's weights v_i (kernel times rule weight) become
 W_i = v_i Phi, and quad_hat's weights w^ become the one row w^ Phi^ shared by
 every row of E.  C, D~ (D at the undelayed points) and E / (theta / lam) are
 then the three channels of ``dilation_product``, which builds the table's
-Cauchy array for l >= the first row of each block only.
+Cauchy array in square tiles of rows i and l, for the l-block at or past the
+i-block only.
 
 The delayed rows D, H sample the basis at eps^lam z_i xi_k.  By the same
 argument F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y), and with the delay
@@ -111,12 +112,13 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
 
     with Phi = ``basis_matrix_z`` at quad_mu's nodes and Phi^ at quad_hat's:
     two GEMMs on the (N+1, K) kernel weights and one row for E.  The
-    symmetric table F_j(z_i z_l) is built half, in blocks, by
-    ``dilation_product``: Cauchy entries per ``assemble`` are the half table
-    plus Phi, Phi^ and L, 3,761,956 at N = 192.  D, H follow from D~, E by
-    two matrix products with L = ``basis_matrix_z`` at eps^lam z.  Each
-    kernel is called once, on the broadcast (theta_i, eta_ik) arrays of
-    shape (N+1, K), and each coefficient once, on all grid points.
+    symmetric table F_j(z_i z_l) is built by ``dilation_product`` in square
+    tiles, off the diagonal for one of (i, l) and (l, i) only: Cauchy entries
+    per ``assemble`` are those tiles plus Phi, Phi^ and L, 4,174,590 at
+    N = 192.  D, H follow from D~, E by two matrix products with
+    L = ``basis_matrix_z`` at eps^lam z.  Each kernel is called once, on the
+    broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
+    coefficient once, on all grid points.
     """
     if scaled.f_t is None:
         raise ValueError("cannot assemble a problem without a forcing term")

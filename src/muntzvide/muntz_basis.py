@@ -13,7 +13,8 @@ in the tests as a small-N cross-check only.
     * ``interpolate``      - the interpolant of nodal values at any theta;
     * ``basis_matrix_z``   - the table F_j(z_m) at mapped coordinates z;
     * ``dilation_product`` - sum_l W[i, l] F_j(z_i z_l) over the grid's
-      dilation table, which is symmetric in (i, l), so only half of it is built.
+      dilation table, which is symmetric in (i, l): it is built in square
+      tiles, and a tile off the diagonal serves both (i, l) and (l, i).
 
 All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
 points, and all give a z within ``_SNAP_TOL`` of a node that node's exact
@@ -22,6 +23,7 @@ Kronecker value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +41,9 @@ __all__ = [
 # within this distance of a node (in z) the barycentric form is 0/0: return
 # the exact Kronecker value instead
 _SNAP_TOL = 1e-15
-# ``dilation_product`` fills rows in blocks holding at most this many entries
-# of a (rows, N+1, N+1) Cauchy array, which bounds its scratch memory
+# ``dilation_product`` builds its table in square tiles of width
+# isqrt(_BLOCK_ENTRIES // (N+1)), each holding at most this many entries of a
+# (width, width, N+1) Cauchy array, which bounds its scratch memory
 _BLOCK_ENTRIES = 2**17
 
 
@@ -80,19 +83,30 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
     return CollocationGrid(n=n, lam=lam, points=theta, z_points=z, bary_weights=bary)
 
 
-def _cauchy(grid: CollocationGrid, z: np.ndarray):
+def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None):
     """R = 1 / (z - z_j), the node nearest each z, and whether z lies within _SNAP_TOL of it.
 
-    A snapped z is moved off [0, 1] in R, which keeps its row finite; callers
-    give such a z its nodal value.
+    R has shape ``z.shape + (N+1,)`` and is written into ``out`` when one is
+    given (a C-contiguous array of that shape).  A snapped z is moved off
+    [0, 1] in R, which keeps its row finite; callers give such a z its nodal
+    value.
     """
     nodes = grid.z_points
     right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
     near = right - (z - nodes[right - 1] < nodes[right] - z)
     snap = np.abs(z - nodes[near]) <= _SNAP_TOL
-    cauchy = np.subtract.outer(np.where(snap, -1.0, z), nodes)
-    np.reciprocal(cauchy, out=cauchy)
-    return cauchy, near, snap
+    if out is None:
+        out = np.empty(z.shape + nodes.shape)
+    # z - z_j as one K = 2 product [z, 1] @ [[1 ... 1], [-z_j]]: its products
+    # are exact and each entry rounds once, so it is bitwise the subtraction
+    lhs = np.empty((snap.size, 2))
+    lhs[:, 0] = np.where(snap, -1.0, z).ravel()
+    lhs[:, 1] = 1.0
+    rhs = np.ones((2, nodes.size))
+    np.negative(nodes, out=rhs[1])
+    np.matmul(lhs, rhs, out=out.reshape(snap.size, nodes.size))
+    np.reciprocal(out, out=out)
+    return out, near, snap
 
 
 def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
@@ -118,46 +132,50 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     """out[..., i, j] = sum_l W[..., i, l] F_j(z_i z_l) over the grid's dilation table.
 
     ``W`` has shape (N+1, N+1), or (c, N+1, N+1) for c channels, and the result
-    has its shape.  The table F_j(z_i z_l) is symmetric in (i, l), so the row
-    block [a, b) builds the Cauchy array of the points z_i z_l only for l >= a:
-    its rows take the pairs (i, l) directly, and the rows l >= b take the same
-    entries as their pairs (l, i).  Each direction is one batched product,
-    w * ((W / S) @ R) with S as in ``basis_matrix_z``, and a block holds at
-    most ``_BLOCK_ENTRIES`` Cauchy entries; at N+1 rows of one block that is
-    (N+1)^3 entries in all, and about half of it once the table spans many
-    blocks.  A z_i z_l within ``_SNAP_TOL`` of a node adds its weights, in both
-    directions, to that node's column only.
+    has its shape.  The table F_j(z_i z_l) is symmetric in (i, l), so it is
+    built in square tiles, an i-block [a, b) against an l-block [e, f) with
+    e >= a, each holding at most ``_BLOCK_ENTRIES`` Cauchy entries.  A tile's
+    Cauchy array of the points z_i z_l takes its pairs (i, l) directly and,
+    off the diagonal, the same entries transposed as its pairs (l, i); both
+    are batched products w * ((W / S) @ R), with S as in ``basis_matrix_z``,
+    that contract over the tile width.  That is n1 (n1^2 + sum |block|^2) / 2
+    Cauchy entries for n1 = N+1, and all (N+1)^3 when one tile holds the whole
+    table (N <= 49).  Every tile is built in one scratch buffer.  A z_i z_l
+    within ``_SNAP_TOL`` of a node adds its weights, in both directions, to
+    that node's column only.
     """
     n1 = grid.n + 1
     W = np.asarray(W, dtype=float)
     chan = W.reshape(-1, n1, n1)
     z, w = grid.z_points, grid.bary_weights
+    table = np.multiply.outer(z, z)  # the points z_i z_l, symmetric
     out = np.zeros(chan.shape)  # the sums over l, still without the factor w_j
-    hits = []  # (rows, nodes, weights) of the snapped pairs, added after w_j
-    step = max(1, _BLOCK_ENTRIES // (n1 * n1))
-    for a in range(0, n1, step):
-        b = min(a + step, n1)
-        cauchy, near, snap = _cauchy(grid, np.multiply.outer(z[a:b], z[a:]))
-        inv_s = np.where(snap, 0.0, 1.0 / (cauchy @ w))  # (rows, l >= a)
-        # rows i in [a, b) over l >= a: (i, c, l) @ (i, l, j)
-        coef = (chan[:, a:b, a:] * inv_s).transpose(1, 0, 2)
-        out[:, a:b] += (coef @ cauchy).transpose(1, 0, 2)
-        # rows l >= b over i in [a, b): (l, c, i) @ (l, i, j)
-        tail = slice(b - a, None)
-        coef = (chan[:, b:, a:b] * inv_s[:, tail].T).transpose(1, 0, 2)
-        out[:, b:] += (coef @ cauchy[:, tail].transpose(1, 0, 2)).transpose(1, 0, 2)
-        if snap.any():
-            r, m = np.nonzero(snap)
-            i, l, node = a + r, a + m, near[r, m]
-            t = l >= b
-            hits.append((
-                np.concatenate((i, l[t])),
-                np.concatenate((node, node[t])),
-                np.concatenate((chan[:, i, l], chan[:, l[t], i[t]]), axis=1),
-            ))
+    hit = None  # the node each snapped pair lands on, -1 for the other pairs
+    width = min(n1, max(1, math.isqrt(_BLOCK_ENTRIES // n1)))
+    scratch = np.empty(width * width * n1)
+    for a in range(0, n1, width):
+        b = min(a + width, n1)
+        for e in range(a, n1, width):
+            f = min(e + width, n1)
+            tile = scratch[: (b - a) * (f - e) * n1].reshape(b - a, f - e, n1)
+            cauchy, near, snap = _cauchy(grid, table[a:b, e:f], out=tile)
+            inv_s = np.where(snap, 0.0, 1.0 / (cauchy @ w))  # (i, l)
+            # pairs (i, l): (i, c, l) @ (i, l, j)
+            coef = (chan[:, a:b, e:f] * inv_s).transpose(1, 0, 2)
+            out[:, a:b] += (coef @ cauchy).transpose(1, 0, 2)
+            if e > a:
+                # pairs (l, i) off the diagonal: (l, c, i) @ (l, i, j)
+                coef = (chan[:, e:f, a:b] * inv_s.T).transpose(1, 0, 2)
+                out[:, e:f] += (coef @ cauchy.transpose(1, 0, 2)).transpose(1, 0, 2)
+            if snap.any():
+                if hit is None:
+                    hit = np.full((n1, n1), -1)
+                hit[a:b, e:f] = np.where(snap, near, -1)
+                hit[e:f, a:b] = hit[a:b, e:f].T
     out *= w
-    for rows, nodes, weights in hits:
-        np.add.at(out, (slice(None), rows, nodes), weights)
+    if hit is not None:
+        i, l = np.nonzero(hit >= 0)
+        np.add.at(out, (slice(None), i, hit[i, l]), chan[:, i, l])
     return out.reshape(W.shape)
 
 

@@ -238,30 +238,33 @@ def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
 
 
 def test_assembly_builds_half_the_dilation_table_and_the_delay_matrix(monkeypatch):
-    # C, D~ and E share the dilation table F_j(z_i z_l), whose row block
-    # [a, a + step) builds its Cauchy array for l >= a only; Phi and Phi^ (the
-    # basis at the quad_mu and quad_hat nodes) and L take one (N+1) x (N+1)
-    # array each; D and H need no Cauchy array of their own
+    # C, D~ and E share the dilation table F_j(z_i z_l), built in square tiles
+    # of blocks A of the rows: a tile off the diagonal serves both (i, l) and
+    # (l, i), a diagonal tile is built whole.  Phi and Phi^ (the basis at the
+    # quad_mu and quad_hat nodes) and L take one (N+1) x (N+1) array each; D
+    # and H need no Cauchy array of their own
     import muntzvide.muntz_basis as muntz_basis
 
     entries = []
     cauchy = muntz_basis._cauchy
 
-    def counting(grid, z):
-        out = cauchy(grid, z)
-        entries.append(out[0].size)
-        return out
+    def counting(grid, z, out=None):
+        got = cauchy(grid, z, out=out)
+        entries.append(got[0].size)
+        return got
 
     monkeypatch.setattr(muntz_basis, "_cauchy", counting)
     for n in (8, 40, 128):
         n1 = n + 1
-        step = max(1, muntz_basis._BLOCK_ENTRIES // n1**2)
-        half = sum(min(step, n1 - a) * (n1 - a) * n1 for a in range(0, n1, step))
+        width = min(n1, math.isqrt(muntz_basis._BLOCK_ENTRIES // n1))
+        blocks = [min(width, n1 - a) for a in range(0, n1, width)]
+        table = n1 * (n1**2 + sum(size**2 for size in blocks)) // 2
         entries.clear()
         assembled(kernel_problem(0.5), n, 0.5)
-        assert sum(entries) == half + 3 * n1**2
-    # from N = 128 on the table spans many blocks and is built about half
-    assert sum(entries) == 1_180_737 < 0.6 * 129**3
+        assert sum(entries) == table + 3 * n1**2
+    # at N = 128 the tiles are 31 wide: 4 full blocks and one of 5
+    assert blocks == [31, 31, 31, 31, 5]
+    assert sum(entries) == 1_372_818
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 0.95])

@@ -240,11 +240,32 @@ def lagrange(nodes, j, x):
     return np.prod((x - others) / (nodes[j] - others))
 
 
-@pytest.mark.parametrize("block_entries", [9, 2**17])
+@pytest.mark.parametrize("n, lam", [(8, 0.5), (40, 1.0 / 3.0)])
+def test_cauchy_product_is_bitwise_the_subtraction(n, lam):
+    # _cauchy forms z - z_j as a K = 2 matrix product; it must round exactly
+    # as the subtraction does, which keeps the default outputs byte-identical
+    grid = build_grid(n, -0.5, -0.5, lam)
+    nodes = grid.z_points
+    rng = np.random.default_rng(n)
+    z = np.concatenate([nodes, nodes + 1e-16, nodes - 1e-16, rng.uniform(0.0, 1.0, 3 * (n + 1))])
+    for points in (z, z.reshape(6, n + 1)):
+        cauchy, near, snap = muntz_basis._cauchy(grid, points)
+        assert snap.shape == points.shape and snap.sum() == 3 * (n + 1)
+        want = 1 / np.subtract.outer(np.where(snap, -1.0, points), nodes)
+        assert np.array_equal(cauchy, want)
+        buffer = np.full(points.size * (n + 1) + 7, np.nan)
+        out = buffer[: points.size * (n + 1)].reshape(points.shape + (n + 1,))
+        got, _, _ = muntz_basis._cauchy(grid, points, out=out)
+        assert got is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("block_entries", [9, 12, 2**17])
 def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_entries):
     # z = {1/4, 1/2, 1}: z_i z_l lands on a node for every pair but (1/4, 1/4)
-    # and (1/4, 1/2), so with 1-row blocks (9 entries) the snapped pairs go
-    # through both the direct and the transposed branch
+    # and (1/4, 1/2).  With 1-wide tiles (9 entries) and 2-wide tiles (12
+    # entries, whose off-diagonal tile [0, 2) x [2, 3) is ragged) the snapped
+    # pairs go through both the direct and the transposed direction; 2**17
+    # builds the table as one tile
     monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", block_entries)
     z = np.array([0.25, 0.5, 1.0])
     bary = 1.0 / np.array([np.prod(np.delete(z[j] - z, j)) for j in range(3)])
@@ -261,18 +282,33 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     assert muntz_basis.dilation_product(grid, W[0]).shape == (3, 3)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_dilation_product_blocks_match_one_block(monkeypatch, rows):
-    # 41 rows in blocks of 1, 2 and 3 rows (the last block of 3 holds 2)
+def rowwise_dilation(grid, W):
+    """Row i of every channel as W[:, i] @ F(z_i z): the table one row at a time."""
+    z = grid.z_points
+    return np.stack([W[:, i] @ basis_matrix_z(grid, z[i] * z) for i in range(grid.n + 1)], axis=1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_dilation_product_tiles_match_one_tile(monkeypatch, width):
+    # 41 rows in tiles 1, 2 and 3 wide (the last tile of 2 and 3 is ragged)
     n, lam = 40, 0.5
     grid = build_grid(n, -0.5, -0.5, lam)
     W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
-    assert muntz_basis._BLOCK_ENTRIES >= (n + 1) ** 3  # one block by default
+    assert muntz_basis._BLOCK_ENTRIES >= (n + 1) ** 3  # one tile by default
     whole = muntz_basis.dilation_product(grid, W)
-    z = grid.z_points
-    table = [W[:, i] @ basis_matrix_z(grid, z[i] * z) for i in range(n + 1)]
-    ref = np.stack(table, axis=1)
+    ref = rowwise_dilation(grid, W)
     np.testing.assert_allclose(whole, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-    monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", rows * (n + 1) ** 2)
+    monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", width**2 * (n + 1))
     got = muntz_basis.dilation_product(grid, W)
     np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
+
+
+def test_dilation_product_many_tiles_match_rows():
+    # at N = 192 the default tiles are 26 wide: 7 full blocks and one of 11
+    n, lam = 192, 0.5
+    grid = build_grid(n, -0.5, -0.5, lam)
+    assert math.isqrt(muntz_basis._BLOCK_ENTRIES // (n + 1)) == 26
+    W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
+    got = muntz_basis.dilation_product(grid, W)
+    ref = rowwise_dilation(grid, W)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
