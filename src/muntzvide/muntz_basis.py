@@ -17,8 +17,7 @@ in the tests as a small-N cross-check only.
       tiles, and a tile off the diagonal serves both (i, l) and (l, i).
 
 All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
-points, and all give a z within ``_SNAP_TOL`` of a node that node's exact
-Kronecker value.
+points, whose row for a z within ``_SNAP_TOL`` of node k is e_k instead.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ __all__ = [
     "interpolate",
 ]
 
-# within this distance of a node (in z) the barycentric form is 0/0: return
-# the exact Kronecker value instead
+# within this distance of a node (in z) the barycentric form is 0/0: the z
+# takes that node's Kronecker row as its Cauchy row instead
 _SNAP_TOL = 1e-15
 # ``dilation_product`` builds its table in square tiles of width
 # isqrt(_BLOCK_ENTRIES // (N+1)), each holding at most this many entries of a
@@ -87,9 +86,9 @@ def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None)
     """R = 1 / (z - z_j), the node nearest each z, and whether z lies within _SNAP_TOL of it.
 
     R has shape ``z.shape + (N+1,)`` and is written into ``out`` when one is
-    given (a C-contiguous array of that shape).  A snapped z is moved off
-    [0, 1] in R, which keeps its row finite; callers give such a z its nodal
-    value.
+    given (a C-contiguous array of that shape).  A snapped z (moved off [0, 1]
+    so as not to divide by zero) has its node's Kronecker row e_k as its row,
+    so the barycentric form gives F_j = w_j delta_jk / w_k, exactly delta_jk.
     """
     nodes = grid.z_points
     right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
@@ -106,26 +105,27 @@ def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None)
     np.negative(nodes, out=rhs[1])
     np.matmul(lhs, rhs, out=out.reshape(snap.size, nodes.size))
     np.reciprocal(out, out=out)
+    if snap.any():
+        out[snap] = 0.0
+        out[snap, near[snap]] = 1.0
     return out, near, snap
 
 
 def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     """Tabulate all N+1 cardinal functions at mapped coordinates z.
 
-    Returns an array of shape (len(z), N+1); row m holds F_j(z_m) for all j.
-    In the second barycentric form F_j(z) = (w_j / (z - z_j)) / S(z) with
-    S(z) = sum_l w_l / (z - z_l) = 4^-N / prod_l (z - z_l), which never
-    vanishes.  It is formed entry by entry rather than as a product with the
-    identity, so column j is bitwise what ``interpolate`` gives for the unit
-    vector e_j.  Taking z rather than theta spares a caller who knows z
-    exactly a lossy power round trip.
+    Returns an array of shape ``z.shape + (N+1,)``, a scalar z as shape (1,),
+    whose entry [..., j] is F_j(z).  In the second barycentric form
+    F_j(z) = (w_j / (z - z_j)) / S(z) with S(z) = sum_l w_l / (z - z_l)
+    = 4^-N / prod_l (z - z_l), which never vanishes.  It is formed entry by
+    entry rather than as a product with the identity, so column j is bitwise
+    what ``interpolate`` gives for the unit vector e_j.  Taking z rather than
+    theta spares a caller who knows z exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    cauchy, near, snap = _cauchy(grid, z)
+    cauchy, _, _ = _cauchy(grid, z)
     w = grid.bary_weights
-    out = (cauchy * w) / (cauchy @ w)[:, None]
-    out[snap] = np.eye(grid.n + 1)[near[snap]]
-    return out
+    return (cauchy * w) / (cauchy @ w)[..., None]
 
 
 def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
@@ -140,17 +140,17 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     are batched products w * ((W / S) @ R), with S as in ``basis_matrix_z``,
     that contract over the tile width.  That is n1 (n1^2 + sum |block|^2) / 2
     Cauchy entries for n1 = N+1, and all (N+1)^3 when one tile holds the whole
-    table (N <= 49).  Every tile is built in one scratch buffer.  A z_i z_l
-    within ``_SNAP_TOL`` of a node adds its weights, in both directions, to
-    that node's column only.
+    table (N <= 49).  Every tile is built in one scratch buffer; a snapped
+    pair is like any other.  Any other shape of ``W`` raises ``ValueError``.
     """
     n1 = grid.n + 1
     W = np.asarray(W, dtype=float)
+    if W.ndim not in (2, 3) or W.shape[-2:] != (n1, n1):
+        raise ValueError(f"expected W of shape ({n1}, {n1}) or (c, {n1}, {n1}), got {W.shape}")
     chan = W.reshape(-1, n1, n1)
     z, w = grid.z_points, grid.bary_weights
     table = np.multiply.outer(z, z)  # the points z_i z_l, symmetric
     out = np.zeros(chan.shape)  # the sums over l, still without the factor w_j
-    hit = None  # the node each snapped pair lands on, -1 for the other pairs
     width = min(n1, max(1, math.isqrt(_BLOCK_ENTRIES // n1)))
     scratch = np.empty(width * width * n1)
     for a in range(0, n1, width):
@@ -158,8 +158,8 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
         for e in range(a, n1, width):
             f = min(e + width, n1)
             tile = scratch[: (b - a) * (f - e) * n1].reshape(b - a, f - e, n1)
-            cauchy, near, snap = _cauchy(grid, table[a:b, e:f], out=tile)
-            inv_s = np.where(snap, 0.0, 1.0 / (cauchy @ w))  # (i, l)
+            cauchy, _, _ = _cauchy(grid, table[a:b, e:f], out=tile)
+            inv_s = 1.0 / (cauchy @ w)  # (i, l)
             # pairs (i, l): (i, c, l) @ (i, l, j)
             coef = (chan[:, a:b, e:f] * inv_s).transpose(1, 0, 2)
             out[:, a:b] += (coef @ cauchy).transpose(1, 0, 2)
@@ -167,15 +167,7 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
                 # pairs (l, i) off the diagonal: (l, c, i) @ (l, i, j)
                 coef = (chan[:, e:f, a:b] * inv_s.T).transpose(1, 0, 2)
                 out[:, e:f] += (coef @ cauchy.transpose(1, 0, 2)).transpose(1, 0, 2)
-            if snap.any():
-                if hit is None:
-                    hit = np.full((n1, n1), -1)
-                hit[a:b, e:f] = np.where(snap, near, -1)
-                hit[e:f, a:b] = hit[a:b, e:f].T
     out *= w
-    if hit is not None:
-        i, l = np.nonzero(hit >= 0)
-        np.add.at(out, (slice(None), i, hit[i, l]), chan[:, i, l])
     return out.reshape(W.shape)
 
 
@@ -193,7 +185,8 @@ def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
         )
     theta = np.asarray(theta, dtype=float)
     # second barycentric form: every channel shares one Cauchy matrix R, and
-    # p = (R @ (w values)) / (R @ w); a snapped point takes its nodal value
+    # p = (R @ (w values)) / (R @ w); a snapped point takes v_k itself, which
+    # (w_k v_k) / w_k need not round to
     cauchy, near, snap = _cauchy(grid, theta.ravel() ** grid.lam)
     w = grid.bary_weights
     den = cauchy @ w

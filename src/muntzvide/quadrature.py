@@ -155,7 +155,7 @@ def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
     """Map a rule on [-1, 1] to the lambda-power rule on [0, 1]."""
     _validate_lam(lam)
     z = 0.5 * (rule.nodes + 1.0)
-    theta = z.copy() if lam == 1.0 else z ** (1.0 / lam)
+    theta = z ** (1.0 / lam)
     weights = rule.weights * 2.0 ** -(rule.alpha + rule.beta + 1.0)
     for arr in (z, theta, weights):
         arr.flags.writeable = False

@@ -209,6 +209,20 @@ def test_basis_table_snaps_nodes_and_stays_finite_at_the_ends(n, lam):
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, lam", [(4, 0.5), (40, 1.0 / 3.0)])
+def test_basis_table_of_2d_z_stacks_the_row_calls(n, lam):
+    grid = build_grid(n, -0.5, -0.5, lam)
+    rng = np.random.default_rng(n)
+    for shape in ((5, 5), (3, 2)):
+        z = rng.uniform(0.0, 1.0, shape)
+        z[0, 0] = grid.z_points[1]  # a snapped entry
+        got = basis_matrix_z(grid, z)
+        assert got.shape == shape + (n + 1,)
+        want = np.stack([basis_matrix_z(grid, row) for row in z])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        assert np.array_equal(got[0, 0], np.eye(n + 1)[1])
+
+
 @pytest.mark.parametrize("n, lam", [(6, 0.5), (40, 1.0 / 3.0)])
 def test_multichannel_interpolate_equals_per_channel_calls(n, lam):
     grid = build_grid(n, -0.5, -0.5, lam)
@@ -243,7 +257,8 @@ def lagrange(nodes, j, x):
 @pytest.mark.parametrize("n, lam", [(8, 0.5), (40, 1.0 / 3.0)])
 def test_cauchy_product_is_bitwise_the_subtraction(n, lam):
     # _cauchy forms z - z_j as a K = 2 matrix product; it must round exactly
-    # as the subtraction does, which keeps the default outputs byte-identical
+    # as the subtraction does, which keeps the default outputs byte-identical.
+    # A snapped point's row is its node's Kronecker row
     grid = build_grid(n, -0.5, -0.5, lam)
     nodes = grid.z_points
     rng = np.random.default_rng(n)
@@ -251,7 +266,9 @@ def test_cauchy_product_is_bitwise_the_subtraction(n, lam):
     for points in (z, z.reshape(6, n + 1)):
         cauchy, near, snap = muntz_basis._cauchy(grid, points)
         assert snap.shape == points.shape and snap.sum() == 3 * (n + 1)
-        want = 1 / np.subtract.outer(np.where(snap, -1.0, points), nodes)
+        want = np.empty(points.shape + (n + 1,))
+        want[~snap] = 1 / np.subtract.outer(points[~snap], nodes)
+        want[snap] = np.eye(n + 1)[near[snap]]
         assert np.array_equal(cauchy, want)
         buffer = np.full(points.size * (n + 1) + 7, np.nan)
         out = buffer[: points.size * (n + 1)].reshape(points.shape + (n + 1,))
@@ -278,8 +295,20 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     ])
     got = muntz_basis.dilation_product(grid, W)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    # the row-by-row reference goes through basis_matrix_z, the other consumer
+    # of _cauchy's Kronecker rows
+    rows = rowwise_dilation(grid, W)
+    np.testing.assert_allclose(got, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
     assert got.shape == (2, 3, 3)
     assert muntz_basis.dilation_product(grid, W[0]).shape == (3, 3)
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 5), (50,), (2, 25)])
+def test_dilation_product_rejects_other_shapes(shape):
+    # each has a multiple of (N+1)^2 entries, which a reshape would accept
+    grid = build_grid(4, -0.5, -0.5, 0.5)
+    with pytest.raises(ValueError, match=r"expected W of shape \(5, 5\) or \(c, 5, 5\)"):
+        muntz_basis.dilation_product(grid, np.ones(shape))
 
 
 def rowwise_dilation(grid, W):

@@ -192,6 +192,9 @@ def test_lambda_one_is_affine():
     frac = to_fractional(rule, 1.0)
     assert frac.nodes == pytest.approx(0.5 * (rule.nodes + 1.0), abs=0)
     assert frac.weights == pytest.approx(0.5 * rule.weights, rel=1e-15)
+    # theta = z^1 is z bitwise, in its own (read-only) array
+    assert np.array_equal(frac.nodes, frac.z_nodes)
+    assert not np.shares_memory(frac.nodes, frac.z_nodes)
 
 
 def test_half_lambda_squares_the_midpoint():
