@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
@@ -60,7 +61,8 @@ class SolverConfig:
     ``lam`` is the one basis-exponent setting; None uses default_lambda(mu).
     The kernel and integration rules have N+1 points (one per unknown), and
     the L2 norm is weighted by the grid's (alpha, beta).  A ``lam`` outside
-    (0, 1], an exponent not above -1, ``l2_points < 1`` or ``linf_points < 2``
+    (0, 1], an exponent not above -1, or a point count that is not an integer
+    (a bool is not) of at least 1 for ``l2_points`` and 2 for ``linf_points``
     raises ``ValueError`` here, before any solve.  A config is frozen: make a
     variant with ``dataclasses.replace``, which checks it again.
     """
@@ -75,10 +77,11 @@ class SolverConfig:
         if self.lam is not None:
             _validate_lam(self.lam)
         _validate_exponents(self.alpha, self.beta)
-        if self.l2_points is not None and self.l2_points < 1:
-            raise ValueError(f"l2_points must be >= 1, got {self.l2_points}")
-        if self.linf_points < 2:
-            raise ValueError(f"linf_points must be >= 2, got {self.linf_points}")
+        for name, least in (("l2_points", 1), ("linf_points", 2)):
+            value = getattr(self, name)
+            count = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+            if not (count or name == "l2_points" and value is None):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -194,8 +197,21 @@ def _error_row(problem, sol, config, reference, runtime_ms, fixed: dict) -> Swee
     return SweepRow(grid.n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
 
 
+def _check_reference(problem, reference, n: int) -> None:
+    """Errors up to order n need an exact solution, or a reference of higher order."""
+    if exact_phi_pair(problem) is None:
+        if reference is None:
+            raise ValueError(
+                f"problem {problem.label or '<anonymous>'} has no exact solution; "
+                "supply a reference solution"
+            )
+        if reference.grid.n <= n:
+            raise ValueError(f"reference order {reference.grid.n} must exceed the solve order {n}")
+
+
 def error_row(problem, sol, config, reference, runtime_ms) -> SweepRow:
-    """Sweep row for ``sol`` at its grid and N, against the exact solution or ``reference``."""
+    """Sweep row for ``sol`` against the exact solution, else a ``reference`` of order above its N."""
+    _check_reference(problem, reference, sol.grid.n)
     return _error_row(problem, sol, config, reference, runtime_ms, {})
 
 
@@ -213,16 +229,7 @@ def convergence_sweep(
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be nonempty and strictly increasing, got {n_list}")
-    if exact_phi_pair(problem) is None:
-        if reference is None:
-            raise ValueError(
-                f"problem {problem.label or '<anonymous>'} has no exact solution; "
-                "supply a reference solution"
-            )
-        if reference.grid.n <= max(n_list):
-            raise ValueError(
-                f"reference order {reference.grid.n} must exceed the largest sweep order {max(n_list)}"
-            )
+    _check_reference(problem, reference, max(n_list))
     table = ConvergenceTable()
     # one cache per call: a reference is interpolated at the N-independent
     # points once per sweep, and nothing is kept between sweeps
@@ -260,22 +267,18 @@ def fit_rates(table: ConvergenceTable) -> RateReport:
 
     A channel is classified exponential when the linear-in-N fit explains at
     least 95% of the variance with slope <= -0.5, algebraic otherwise.  The
-    report-level classification follows the linf_e channel.
+    report-level classification follows the linf_e channel.  A channel with
+    fewer than 3 usable rows (successful, with a finite positive error)
+    raises ``InsufficientDataError``.
     """
     rows = [r for r in table.rows if not r.failed]
-    if len(rows) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 successful rows to fit rates, got {len(rows)}"
-        )
     ns = np.array([r.n for r in rows], dtype=float)
     channels: dict[str, RateFit] = {}
     for name in _FIT_CHANNELS:
         errs = np.array([getattr(r, name) for r in rows])
         good = np.isfinite(errs) & (errs > 0.0)
         if good.sum() < 3:
-            raise InsufficientDataError(
-                f"channel {name} has fewer than 3 positive entries"
-            )
+            raise InsufficientDataError(f"channel {name} has {good.sum()} usable rows, need at least 3")
         y = np.log10(errs[good])
         slope_n, r2_n = _fit(ns[good], y)
         slope_ll, r2_ll = _fit(np.log10(ns[good]), y)

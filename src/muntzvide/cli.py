@@ -158,13 +158,13 @@ class RunSpec:
             SolverConfig(**{name: getattr(self, name) for name in _SOLVER_FIELDS})
         except ValueError as exc:
             # SolverConfig checks its fields in order, and each rule reads one
-            # field (the exponents' reads both), so the first to fail alone is at fault
+            # field (the exponents' reads both, but a bad one fails beside the
+            # other's valid default), so the first to fail alone is at fault
             for name in _SOLVER_FIELDS:
                 try:
                     SolverConfig(**{name: getattr(self, name)})
                 except ValueError:
                     raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
-            raise ConfigError(str(exc)) from exc
         for name in ("mu", "eps", "horizon", "y0"):  # those given, by VideProblem's rules
             value = getattr(self, name)
             try:
@@ -295,6 +295,8 @@ def run(spec: RunSpec) -> int:
     """Execute a run spec; returns the process exit status."""
     out = Path(spec.output)
     # checked before any solve, so an unwritable output costs no run
+    if out.is_dir():
+        raise ConfigError(f"cannot write output {spec.output!r}: it is a directory")
     if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise ConfigError(
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .muntz_basis import CollocationGrid, basis_matrix_z, dilation_product
@@ -174,10 +173,10 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     if not np.isfinite(rhs).all():
         raise SingularSystemError("right-hand side has non-finite entries", math.nan)
     anorm = np.linalg.norm(M, 1)
-    # getrf is what scipy.linalg.lu_factor calls; called directly it reports an
-    # exact zero pivot through info rather than a LinAlgWarning, which only a
-    # process-wide (not thread-safe) warnings filter could silence
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (M,))
+    # getrf and getrs are what scipy.linalg's LU factor and solve call; called
+    # directly getrf reports an exact zero pivot through info rather than a
+    # LinAlgWarning, which only a process-wide (not thread-safe) warnings filter could silence
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (M,))
     lu, piv, info = getrf(M, overwrite_a=True)
     if info > 0:
         raise SingularSystemError("reduced collocation matrix is singular", math.inf)
@@ -185,7 +184,7 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     cond = 1.0 / rcond if rcond > 0.0 else math.inf
     if cond > _COND_LIMIT:
         raise SingularSystemError("reduced collocation matrix is ill-conditioned", cond)
-    u_star = lu_solve((lu, piv), rhs, check_finite=False)
+    u_star, _ = getrs(lu, piv, rhs, overwrite_b=True)  # info flags only an illegal argument
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
     return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid, cond=cond)

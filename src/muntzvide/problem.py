@@ -181,9 +181,11 @@ def default_lambda(mu: float) -> float:
 # Both oracles are fixed rules (u_k, W_k) on [0, 1]: substituting s = t*u,
 #     int_0^t (t-s)^(-mu) g(s) ds = t^(1-mu) * sum_k W_k g(t u_k).
 
-# panel levels of the dyadic rule and size of the mapped Gauss-Jacobi rule
+# panel levels of the dyadic rule, size of the mapped Gauss-Jacobi rule, and
+# the largest difference between the two oracles that a forcing accepts
 _DYADIC_LEVELS = 50
 _ORACLE_POINTS = 200
+_ORACLE_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=32)
@@ -238,19 +240,14 @@ def singular_integral(t, g: ArrayFn, mu: float):
     return _apply_rule(_dyadic_rule(mu), t, g, mu)
 
 
-def manufactured_forcing(
-    y: ArrayFn,
-    y_prime: ArrayFn,
-    skeleton: VideProblem,
-    check_tol: float = 1e-9,
-) -> ArrayFn:
+def manufactured_forcing(y: ArrayFn, y_prime: ArrayFn, skeleton: VideProblem) -> ArrayFn:
     """Forcing f1 that makes ``y`` the exact solution of ``skeleton``.
 
     Rearranges the equation: f1 = y' - a1 y - b1 y(eps t) - (K1 y) - (K2 y).
     Each weakly singular integral is evaluated at all t at once, by the
     mapped Gauss-Jacobi rule and by the dyadic-panel rule; unless they agree
-    to ``check_tol`` at every t (a NaN never agrees), ``OracleDisagreement``
-    names the first t that fails.
+    to ``_ORACLE_TOL`` = 1e-9 at every t (a NaN never agrees),
+    ``OracleDisagreement`` names the first t that fails.
     """
     mu, eps = skeleton.mu, skeleton.eps
     mapped = _mapped_rule(mu)
@@ -261,12 +258,12 @@ def manufactured_forcing(
         for horizon, kernel in ((t, skeleton.k1), (eps * t, skeleton.k2)):
             g = lambda s: kernel(t[..., None], s) * y(s)  # noqa: E731
             i, i_alt = _apply_rule(mapped, horizon, g, mu), singular_integral(horizon, g, mu)
-            bad = np.flatnonzero(~(np.abs(i - i_alt) <= check_tol))
+            bad = np.flatnonzero(~(np.abs(i - i_alt) <= _ORACLE_TOL))
             if bad.size:
                 k = bad[0]
                 raise OracleDisagreement(
                     f"singular-integral oracles disagree at t={np.ravel(t)[k]}: "
-                    f"|{np.ravel(i)[k]} - {np.ravel(i_alt)[k]}| vs tol {check_tol}"
+                    f"|{np.ravel(i)[k]} - {np.ravel(i_alt)[k]}| vs tol {_ORACLE_TOL}"
                 )
             total = total - i
         return total
@@ -307,17 +304,24 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
 FORCINGS = ("corrected", "printed")
 
 
-def _with_forcing(skeleton: VideProblem, printed: Optional[ArrayFn], forcing: str) -> VideProblem:
+def _manufactured(
+    label: str,
+    g: ArrayFn,
+    y: ArrayFn,
+    yp: ArrayFn,
+    printed: ArrayFn,
+    mu: float,
+    eps: float,
+    T: float,
+    forcing: str,
+) -> VideProblem:
+    """The equation shared by 5.1-5.3: a1 = -1, b1 = 1, K1 = -g(s), K2 = g(s), y0 = 0.
+
+    Its f1 is ``printed``, or manufactured from the exact solution (y, yp).
+    """
     if forcing not in FORCINGS:
         raise ValueError(f"forcing must be one of {FORCINGS}, got {forcing!r}")
-    if forcing == "printed":
-        return replace(skeleton, f1=printed)
-    return replace(skeleton, f1=manufactured_forcing(skeleton.exact, skeleton.exact_deriv, skeleton))
-
-
-def _skeleton(label: str, g: ArrayFn, y: ArrayFn, yp: ArrayFn, mu: float, eps: float, T: float) -> VideProblem:
-    """The equation shared by 5.1-5.3: a1 = -1, b1 = 1, K1 = -g(s), K2 = g(s), y0 = 0."""
-    return VideProblem(
+    skeleton = VideProblem(
         a1=lambda t: -1.0,
         b1=lambda t: 1.0,
         f1=None,
@@ -331,6 +335,7 @@ def _skeleton(label: str, g: ArrayFn, y: ArrayFn, yp: ArrayFn, mu: float, eps: f
         exact_deriv=yp,
         label=label,
     )
+    return replace(skeleton, f1=printed if forcing == "printed" else manufactured_forcing(y, yp, skeleton))
 
 
 def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:
@@ -343,20 +348,16 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
     def yp(t):
         return np.exp(-(t**om)) * (1.0 - om * t**om)
 
-    skeleton = _skeleton("5.1", lambda s: np.exp(s**om), y, yp, mu, eps, T)
-
-    b = beta(om, 2.0)
-
     def printed(t):
         # circulated closed form; the Beta-term factor reads (1 + e^(2-mu))
         # where the manufactured forcing gives (1 - eps^(2-mu))
         return (
             (1.0 - om * t**om + t) * np.exp(-(t**om))
-            + (1.0 + math.e ** (2.0 - mu)) * b * t ** (2.0 - mu)
+            + (1.0 + math.e ** (2.0 - mu)) * beta(om, 2.0) * t ** (2.0 - mu)
             - (eps * t) * np.exp(-((eps * t) ** om))
         )
 
-    return _with_forcing(skeleton, printed, forcing)
+    return _manufactured("5.1", lambda s: np.exp(s**om), y, yp, printed, mu, eps, T, forcing)
 
 
 def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcing: str = "corrected") -> VideProblem:
@@ -368,18 +369,14 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
     def yp(t):
         return t ** (1.0 - mu) * np.exp(-t) * (2.0 - mu - t)
 
-    skeleton = _skeleton("5.2", np.exp, y, yp, mu, eps, T)
-
-    b = beta(1.0 - mu, 3.0 - mu)
-
     def printed(t):
         return (
             (2.0 - mu) * t ** (1.0 - mu) * np.exp(-t)
-            + b * t ** (3.0 - 2.0 * mu) * (1.0 + math.e ** (3.0 - 2.0 * mu))
+            + beta(1.0 - mu, 3.0 - mu) * t ** (3.0 - 2.0 * mu) * (1.0 + math.e ** (3.0 - 2.0 * mu))
             - (eps * t) ** (2.0 - mu) * np.exp(-eps * t)
         )
 
-    return _with_forcing(skeleton, printed, forcing)
+    return _manufactured("5.2", np.exp, y, yp, printed, mu, eps, T, forcing)
 
 
 def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:
@@ -395,21 +392,16 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
             t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t)
         )
 
-    skeleton = _skeleton("5.3", np.exp, y, yp, mu, eps, T)
-
-    b1_ = beta(1.0 - mu, w1 + 2.0)
-    b2_ = beta(1.0 - mu, w2 + 2.0)
-
     def printed(t):
         return (
             np.exp(-t) * (t**w1 * (1.0 + w1 - t) + t**w2 * (1.0 + w2 - t))
             + (t ** (1.0 + w1) + t ** (1.0 + w2)) * np.exp(-t)
             - ((eps * t) ** (1.0 + w1) + (eps * t) ** (1.0 + w2)) * np.exp(-eps * t)
-            - b1_ * t ** (2.0 - mu + w1) * (math.e ** (2.0 - mu + w1) + 1.0)
-            - b2_ * t ** (2.0 - mu + w2) * (math.e ** (2.0 - mu + w2) + 1.0)
+            - beta(1.0 - mu, w1 + 2.0) * t ** (2.0 - mu + w1) * (math.e ** (2.0 - mu + w1) + 1.0)
+            - beta(1.0 - mu, w2 + 2.0) * t ** (2.0 - mu + w2) * (math.e ** (2.0 - mu + w2) + 1.0)
         )
 
-    return _with_forcing(skeleton, printed, forcing)
+    return _manufactured("5.3", np.exp, y, yp, printed, mu, eps, T, forcing)
 
 
 def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 3.0) -> VideProblem:

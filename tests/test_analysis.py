@@ -158,7 +158,8 @@ def _assigned(field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("l2_points", 0), ("linf_points", 1), ("lam", 0.0), ("lam", 1.5), ("lam", math.nan),
-     ("alpha", -1.5), ("beta", -1.0)],
+     ("alpha", -1.5), ("beta", -1.0), ("l2_points", 1.5), ("l2_points", math.nan),
+     ("linf_points", 100.5), ("linf_points", True)],
 )
 def test_config_rejects_bad_values_before_any_solve(monkeypatch, make, error, field, value):
     import muntzvide.analysis
@@ -183,6 +184,12 @@ def test_sweep_without_exact_needs_reference():
     ref = reference_solution(p, SolverConfig(), 10)
     with pytest.raises(ValueError):
         convergence_sweep(p, SolverConfig(), [8, 10], reference=ref)  # ref not larger
+    # a single error row makes the same two checks
+    _, sol, _ = solve_once(p, 10, SolverConfig())
+    with pytest.raises(ValueError, match="supply a reference"):
+        error_row(p, sol, SolverConfig(), None, 1.0)
+    with pytest.raises(ValueError, match="reference order 10 must exceed the solve order 10"):
+        error_row(p, sol, SolverConfig(), ref, 1.0)
 
 
 def test_sweep_51_decays_at_least_ten_x_per_step():
@@ -247,8 +254,17 @@ def test_fit_rates_insufficient_data():
             runtime_ms=1.0, failed=True,
         ),
     ]
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match="channel l2_e has 2 usable rows"):
         fit_rates(ConvergenceTable(rows=rows))
+
+
+def test_fit_rates_needs_three_usable_rows_per_channel():
+    # four successful rows, but only two positive linf_estar errors
+    table = synthetic_table([(n, 10.0**-n) for n in (4, 6, 8, 10)])
+    table.rows[1].linf_estar = 0.0
+    table.rows[3].linf_estar = math.nan
+    with pytest.raises(InsufficientDataError, match="channel linf_estar has 2 usable rows"):
+        fit_rates(table)
 
 
 # --- reference solutions --------------------------------------------------------

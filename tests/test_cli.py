@@ -63,6 +63,8 @@ def test_parse_rejects_small_n_and_bad_ranges():
         parse_config("mode = sweep\nproblem = 5.1\nN = 4:12:0\n")
     with pytest.raises(ConfigError, match="N"):
         parse_config("mode = sweep\nproblem = 5.1\nN = 8:4:2\n")  # an empty range
+    with pytest.raises(ConfigError, match="'N': ranges are start:stop:step"):
+        parse_config("mode = sweep\nproblem = 5.1\nN = 4:8\n")
 
 
 def test_parse_compare_requires_larger_ref():
@@ -105,6 +107,7 @@ def test_parse_custom_problem_keys():
         ({"lam": 1.5}, "lambda"),
         ({"linf_points": 1}, "linf_grid"),
         ({"l2_points": 0}, "l2_quad"),
+        ({"l2_points": 1.5}, "l2_quad"),
         ({"mode": "bogus"}, "mode"),
         ({"problem": "5.9"}, "problem"),
         ({"forcing": "bogus"}, "forcing"),
@@ -121,7 +124,7 @@ def test_parse_custom_problem_keys():
         ({"mode": "sweep", "ref_n": 8}, "ref_N"),
     ],
     ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
-         "lambda", "linf_grid", "l2_quad", "mode", "problem", "forcing", "custom-coeff",
+         "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "forcing", "custom-coeff",
          "n-below-2", "n-empty", "n-decreasing", "alpha", "beta", "mu", "eps", "T", "y0",
          "ref-outside-compare"],
 )
@@ -204,6 +207,16 @@ def test_run_sweep_writes_csv_and_plot_data(tmp_path):
     # log10 columns decrease for this spectrally convergent run
     col = [float(line.split()[2]) for line in plot]
     assert col[0] > col[1] > col[2]
+
+
+def test_timing_on_writes_runtimes(tmp_path):
+    out = tmp_path / "timed.csv"
+    text = f"mode = sweep\nproblem = 5.1\nN = 4:8:2\noutput = {out}\n"
+    assert run(parse_config(text + "timing = on\n")) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 3 and all(float(line.split(",")[-1]) > 0.0 for line in lines)
+    with pytest.raises(ConfigError, match="'timing': expected on/off"):
+        parse_config(text + "timing = maybe\n")
 
 
 def test_run_solve_writes_nodal_dump(tmp_path):
@@ -396,14 +409,17 @@ def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkey
     counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
     monkeypatch.setattr(cli, "solve_once", counted)
     monkeypatch.setattr(analysis, "solve_once", counted)
+    (tmp_path / "taken.csv").mkdir()  # an output that is itself a directory
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / 'missing' / 'x.csv'}\n")
-    for mode in MODES:
-        ref = ["--set", "ref_N=8"] if mode == "compare" else []
-        assert main([mode, "--config", str(cfg), *ref]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+    for output, reason in (("missing/x.csv", "missing"), ("taken.csv", "is a directory")):
+        cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / output}\n")
+        for mode in MODES:
+            ref = ["--set", "ref_N=8"] if mode == "compare" else []
+            assert main([mode, "--config", str(cfg), *ref]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
     assert calls == []
+    assert list((tmp_path / "taken.csv").iterdir()) == []
 
 
 def test_sweep_without_closed_form_points_to_compare(tmp_path, capsys, monkeypatch):

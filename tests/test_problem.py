@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from muntzvide import (
     EXAMPLE_KEYS,
+    FORCINGS,
     OracleDisagreement,
     SolverConfig,
     VideProblem,
@@ -84,6 +86,8 @@ def test_default_lambda_heuristic():
     assert default_lambda(1.0 / 3.0) == pytest.approx(1.0 / 3.0)
     assert default_lambda(0.75) == pytest.approx(0.25)
     assert default_lambda(0.0) == 1.0
+    # 0.95 = 19/20: its denominator exceeds 16, so it falls back to 1/2
+    assert default_lambda(0.95) == 0.5
 
 
 # --- rescaling ------------------------------------------------------------------
@@ -185,6 +189,12 @@ def test_make_example_overrides():
         make_example("5.1", y0=2.0)
     with pytest.raises(ValueError, match="forcing"):
         make_example("5.4", forcing="printed")
+    with pytest.raises(ValueError, match="forcing must be one of"):
+        make_example("5.1", forcing="bogus")
+    # an out-of-range mu is named, for the printed forcing too
+    for forcing in FORCINGS:
+        with pytest.raises(ValueError, match="mu must"):
+            make_example("5.1", mu=1.0, forcing=forcing)
 
 
 def test_exact_phi_pair_scaling():
@@ -293,9 +303,11 @@ def test_manufactured_constant_solution():
 
 
 def test_oracle_disagreement_raises():
-    base = make_example("5.1")
-    f1 = manufactured_forcing(base.exact, base.exact_deriv, base, check_tol=-1.0)
-    with pytest.raises(OracleDisagreement):
+    # a jump at s = 0.15 defeats both oracles differently: they differ by
+    # 1.3e-3 at t = 0.2 and 1.6e-2 at t = 0.5, and agree (both 0) before it
+    f1 = manufactured_forcing(lambda t: np.where(t < 0.15, 0.0, 1.0), lambda t: 0.0, make_example("5.1"))
+    assert f1(0.1) == 0.0
+    with pytest.raises(OracleDisagreement, match="t=0.5"):
         f1(0.5)
     with pytest.raises(OracleDisagreement, match="t=0.2"):
         f1(np.array([0.2, 0.5]))
@@ -321,6 +333,12 @@ def test_corrected_forcing_residuals(key):
     rng = np.random.default_rng(17)
     for th in rng.uniform(0.0, 1.0, 5) + 1e-3:
         assert abs(scaled_residual(sp, phi, phip, min(th, 1.0))) <= 1e-9
+
+
+def test_scaled_residual_needs_a_forcing():
+    sp = scale_to_unit(dataclasses.replace(make_example("5.4"), f1=None))
+    with pytest.raises(ValueError, match="no forcing"):
+        scaled_residual(sp, np.cos, np.sin, 0.5)
 
 
 def test_scaled_residual_takes_arrays():
