@@ -23,6 +23,7 @@ from .problem import (
 from .quadrature import QuadratureError, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
 
 __all__ = [
+    "ERROR_CHANNELS",
     "SOLVER_ERRORS",
     "SolverConfig",
     "SweepRow",
@@ -43,7 +44,8 @@ __all__ = [
 # typically have an unbounded second derivative at the left endpoint
 _LINF_LEFT = 1e-12
 
-_FIT_CHANNELS = ("l2_e", "linf_e", "l2_estar", "linf_estar")
+# weighted L2 and sup norm of y (phi), then of y' (phi*), in SweepRow's order
+ERROR_CHANNELS = ("l2_e", "linf_e", "l2_estar", "linf_estar")
 
 # the solver's own failures: a rule that does not converge, a singular
 # system, disagreeing forcing oracles
@@ -86,12 +88,17 @@ class SolverConfig:
 
 @dataclass
 class SweepRow:
+    """One solve: N, the ``ERROR_CHANNELS`` (NaN unless measured) and runtime_ms (default 0.0).
+
+    A failed solve also sets ``failed`` and ``message``.
+    """
+
     n: int
-    l2_e: float
-    linf_e: float
-    l2_estar: float
-    linf_estar: float
-    runtime_ms: float
+    l2_e: float = math.nan
+    linf_e: float = math.nan
+    l2_estar: float = math.nan
+    linf_estar: float = math.nan
+    runtime_ms: float = 0.0
     failed: bool = False
     message: str = ""
 
@@ -239,16 +246,7 @@ def convergence_sweep(
             _, sol, runtime_ms = solve_once(problem, n, config)
             row = _error_row(problem, sol, config, reference, runtime_ms, fixed)
         except SOLVER_ERRORS as exc:
-            row = SweepRow(
-                n=n,
-                l2_e=math.nan,
-                linf_e=math.nan,
-                l2_estar=math.nan,
-                linf_estar=math.nan,
-                runtime_ms=0.0,
-                failed=True,
-                message=str(exc),
-            )
+            row = SweepRow(n, failed=True, message=str(exc))
         table.rows.append(row)
     return table
 
@@ -274,7 +272,7 @@ def fit_rates(table: ConvergenceTable) -> RateReport:
     rows = [r for r in table.rows if not r.failed]
     ns = np.array([r.n for r in rows], dtype=float)
     channels: dict[str, RateFit] = {}
-    for name in _FIT_CHANNELS:
+    for name in ERROR_CHANNELS:
         errs = np.array([getattr(r, name) for r in rows])
         good = np.isfinite(errs) & (errs > 0.0)
         if good.sum() < 3:

@@ -9,10 +9,11 @@ file, win over it.  Three modes:
              writes the results CSV plus plot data
     compare  like sweep, but errors are measured against a high-N reference
 
-The results CSV always has the header ``N,l2_e,linf_e,l2_estar,linf_estar,
-runtime_ms`` with errors in scientific notation at 6 significant digits.  By
+The results CSV has the header ``CSV_HEADER``: N, the ``ERROR_CHANNELS`` and
+runtime_ms, with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
-byte-identical files; set ``timing = on`` for wall-clock values.
+byte-identical files; set ``timing = on`` for wall-clock values.  The nodal
+dump (``.nodes.csv``) or plot data (``.plot.dat``) is written beside the CSV.
 
 Each config key is declared once, on its ``RunSpec`` field, with its parser
 (text to value, syntax only) and any choices.  A frozen ``RunSpec`` checks
@@ -24,6 +25,8 @@ the ``ConfigError``: ``lambda``, ``alpha``, ``beta``, ``linf_grid`` and
 Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
 ``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
 CSV), 2 for a configuration error or an output file that cannot be written.
+A missing or unwritable output directory, or a directory at the CSV or at
+the file beside it, is reported before any solve.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .analysis import (
+    ERROR_CHANNELS,
     SOLVER_ERRORS,
     ConvergenceTable,
     SolverConfig,
@@ -60,7 +64,7 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = "N,l2_e,linf_e,l2_estar,linf_estar,runtime_ms"
+CSV_HEADER = ",".join(("N", *ERROR_CHANNELS, "runtime_ms"))
 
 MODES = ("solve", "sweep", "compare")
 
@@ -260,10 +264,7 @@ def _write_csv(table: ConvergenceTable, path: Path, timing: bool) -> None:
     lines = [CSV_HEADER]
     for r in table.rows:
         ms = f"{r.runtime_ms:.3f}" if timing else "0.000"
-        lines.append(
-            f"{r.n},{_fmt_err(r.l2_e)},{_fmt_err(r.linf_e)},"
-            f"{_fmt_err(r.l2_estar)},{_fmt_err(r.linf_estar)},{ms}"
-        )
+        lines.append(",".join([str(r.n), *(_fmt_err(getattr(r, c)) for c in ERROR_CHANNELS), ms]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -276,10 +277,7 @@ def emit_plot_data(table: ConvergenceTable, path) -> None:
     def log10(x: float) -> str:
         return f"{math.log10(x):.6f}" if x > 0 else "-inf"
 
-    lines = [
-        f"{r.n} {log10(r.l2_e)} {log10(r.linf_e)} {log10(r.l2_estar)} {log10(r.linf_estar)}"
-        for r in rows
-    ]
+    lines = [" ".join([str(r.n), *(log10(getattr(r, c)) for c in ERROR_CHANNELS)]) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -301,6 +299,9 @@ def run(spec: RunSpec) -> int:
         raise ConfigError(
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
         )
+    side = out.with_suffix(".nodes.csv" if spec.mode == "solve" else ".plot.dat")
+    if side.is_dir():
+        raise ConfigError(f"cannot write side file {str(side)!r}: it is a directory")
     problem = build_problem(spec)
     if spec.mode == "sweep" and exact_phi_pair(problem) is None:
         raise ConfigError(
@@ -315,10 +316,9 @@ def run(spec: RunSpec) -> int:
             row = error_row(problem, sol, config, None, runtime_ms)
         else:
             # no exact solution to measure against in solve mode
-            nan = math.nan
-            row = SweepRow(sol.grid.n, nan, nan, nan, nan, runtime_ms)
+            row = SweepRow(sol.grid.n, runtime_ms=runtime_ms)
         table = ConvergenceTable(rows=[row])
-        _write_nodal_dump(sol, out.with_suffix(".nodes.csv"))
+        _write_nodal_dump(sol, side)
     elif spec.mode == "sweep":
         table = convergence_sweep(problem, config, spec.n_values)
     else:
@@ -328,15 +328,13 @@ def run(spec: RunSpec) -> int:
     _write_csv(table, out, spec.timing)
     if spec.mode in ("sweep", "compare"):
         try:
-            emit_plot_data(table, out.with_suffix(".plot.dat"))
+            emit_plot_data(table, side)
         except ValueError:
             pass  # every row failed; the CSV still records the failures
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
-        print(
-            f"N={r.n:3d}  l2_e={_fmt_err(r.l2_e)}  linf_e={_fmt_err(r.linf_e)}  "
-            f"l2_e*={_fmt_err(r.l2_estar)}  linf_e*={_fmt_err(r.linf_estar)}  [{status}]"
-        )
+        errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)
+        print("  ".join([f"N={r.n:3d}", *errors, f"[{status}]"]))
     return 0 if not any(r.failed for r in table.rows) else 1
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muntzvide.analysis import ConvergenceTable, SolverConfig, SweepRow
+from muntzvide.analysis import ERROR_CHANNELS, ConvergenceTable, SolverConfig, SweepRow
 from muntzvide.cli import (
     _COEFFS,
     _KERNELS,
@@ -286,6 +286,42 @@ def test_run_returns_nonzero_on_row_failure(tmp_path, monkeypatch):
     assert "nan" in out.read_text()
 
 
+def test_error_channels_are_the_row_fields_and_the_csv_columns():
+    assert [f.name for f in fields(SweepRow)] == ["n", *ERROR_CHANNELS, "runtime_ms", "failed", "message"]
+    assert CSV_HEADER == "N,l2_e,linf_e,l2_estar,linf_estar,runtime_ms"
+    row = SweepRow(4)
+    assert all(math.isnan(getattr(row, c)) for c in ERROR_CHANNELS)
+    assert row.runtime_ms == 0.0 and row.failed is False and row.message == ""
+
+
+def test_every_row_rendering_is_pinned(tmp_path, monkeypatch, capsys):
+    nan = math.nan
+    table = ConvergenceTable(
+        rows=[
+            SweepRow(n=4, l2_e=1.234567891e-3, linf_e=2e-2, l2_estar=0.0, linf_estar=9.87654321e-10, runtime_ms=12.34567),
+            SweepRow(n=6, l2_e=nan, linf_e=nan, l2_estar=nan, linf_estar=nan, runtime_ms=0.0, failed=True, message="boom"),
+            SweepRow(n=8, l2_e=nan, linf_e=nan, l2_estar=nan, linf_estar=nan, runtime_ms=3.5),
+        ]
+    )
+    monkeypatch.setattr("muntzvide.cli.convergence_sweep", lambda *a, **k: table)
+    out = tmp_path / "pin.csv"
+    rows = ["4,1.23457e-03,2.00000e-02,0.00000e+00,9.87654e-10,", "6,nan,nan,nan,nan,", "8,nan,nan,nan,nan,"]
+    for timing, runtimes in (("off", ["0.000"] * 3), ("on", ["12.346", "0.000", "3.500"])):
+        spec = parse_config(f"mode = sweep\nproblem = 5.1\nN = 4:8:2\noutput = {out}\ntiming = {timing}\n")
+        assert run(spec) == 1
+        expected = [CSV_HEADER] + [row + ms for row, ms in zip(rows, runtimes)]
+        assert out.read_text() == "\n".join(expected) + "\n"
+        assert capsys.readouterr().out.splitlines() == [
+            "N=  4  l2_e=1.23457e-03  linf_e=2.00000e-02  l2_e*=0.00000e+00  linf_e*=9.87654e-10  [ok]",
+            "N=  6  l2_e=nan  linf_e=nan  l2_e*=nan  linf_e*=nan  [FAILED: boom]",
+            "N=  8  l2_e=nan  linf_e=nan  l2_e*=nan  linf_e*=nan  [ok]",
+        ]
+    plot = "4 -2.908485 -1.698970 -inf -9.005395\n8 -inf -inf -inf -inf\n"
+    assert (tmp_path / "pin.plot.dat").read_text() == plot
+    emit_plot_data(table, tmp_path / "direct.dat")
+    assert (tmp_path / "direct.dat").read_text() == plot
+
+
 def test_emit_plot_data_edge_cases(tmp_path):
     with pytest.raises(ValueError):
         emit_plot_data(ConvergenceTable(rows=[]), tmp_path / "x.dat")
@@ -409,17 +445,26 @@ def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkey
     counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
     monkeypatch.setattr(cli, "solve_once", counted)
     monkeypatch.setattr(analysis, "solve_once", counted)
-    (tmp_path / "taken.csv").mkdir()  # an output that is itself a directory
+    # an output, or the file its mode writes beside it, that is a directory
+    taken = ["taken.csv", "r.plot.dat", "r.nodes.csv"]
+    for name in taken:
+        (tmp_path / name).mkdir()
     cfg = tmp_path / "run.cfg"
-    for output, reason in (("missing/x.csv", "missing"), ("taken.csv", "is a directory")):
+    for output, reason, modes in (
+        ("missing/x.csv", "missing", MODES),
+        ("taken.csv", "is a directory", MODES),
+        ("r.csv", "r.plot.dat': it is a directory", ("sweep", "compare")),
+        ("r.csv", "r.nodes.csv': it is a directory", ("solve",)),
+    ):
         cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / output}\n")
-        for mode in MODES:
+        for mode in modes:
             ref = ["--set", "ref_N=8"] if mode == "compare" else []
             assert main([mode, "--config", str(cfg), *ref]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
     assert calls == []
-    assert list((tmp_path / "taken.csv").iterdir()) == []
+    assert not (tmp_path / "r.csv").exists()
+    assert all(list((tmp_path / name).iterdir()) == [] for name in taken)
 
 
 def test_sweep_without_closed_form_points_to_compare(tmp_path, capsys, monkeypatch):
