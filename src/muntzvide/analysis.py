@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
@@ -20,7 +19,7 @@ from .problem import (
     sample,
     scale_to_unit,
 )
-from .quadrature import QuadratureError, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
+from .quadrature import QuadratureError, _validate_count, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
 
 __all__ = [
     "ERROR_CHANNELS",
@@ -79,11 +78,9 @@ class SolverConfig:
         if self.lam is not None:
             _validate_lam(self.lam)
         _validate_exponents(self.alpha, self.beta)
-        for name, least in (("l2_points", 1), ("linf_points", 2)):
-            value = getattr(self, name)
-            count = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-            if not (count or name == "l2_points" and value is None):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.l2_points is not None:
+            _validate_count("l2_points", self.l2_points, 1)
+        _validate_count("linf_points", self.linf_points, 2)
 
 
 @dataclass
@@ -230,10 +227,13 @@ def convergence_sweep(
 ) -> ConvergenceTable:
     """One solve per N, with errors against the exact solution or a reference.
 
-    A solve that fails with one of ``SOLVER_ERRORS`` marks its row instead
-    of aborting the sweep; any other exception propagates.
+    Every N must be an integer (a bool is not) of at least 1, checked before
+    the first solve.  A solve that fails with one of ``SOLVER_ERRORS`` marks
+    its row instead of aborting the sweep; any other exception propagates.
     """
     n_list = list(n_list)
+    for n in n_list:
+        _validate_count("n", n, 1)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be nonempty and strictly increasing, got {n_list}")
     _check_reference(problem, reference, max(n_list))

@@ -269,13 +269,13 @@ def _write_csv(table: ConvergenceTable, path: Path, timing: bool) -> None:
 
 
 def emit_plot_data(table: ConvergenceTable, path) -> None:
-    """Plot-ready columns: N and log10 of each error channel."""
+    """Plot-ready columns: N and log10 of each error channel, -inf for a zero error and nan for a NaN one."""
     rows = [r for r in table.rows if not r.failed]
     if not rows:
         raise ValueError("cannot emit plot data for an empty table")
 
     def log10(x: float) -> str:
-        return f"{math.log10(x):.6f}" if x > 0 else "-inf"
+        return f"{math.log10(x):.6f}" if x > 0 else "-inf" if x == 0 else "nan"
 
     lines = [" ".join([str(r.n), *(log10(getattr(r, c)) for c in ERROR_CHANNELS)]) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")

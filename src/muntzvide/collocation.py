@@ -34,7 +34,7 @@ interpolation matrix L[l, j] = F_j(eps^lam z_l)
 
     D = D~ L,   H = eps E L.
 
-The three coupled relations
+The three coupled relations, with A = diag(a) and B = diag(b),
 
     U* = (A + C + D) U + B V + F,   U = U0 + E U*,   V = U0 + H U*
 
@@ -74,8 +74,8 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SystemMatrices:
-    A: np.ndarray  # diag of a_t(theta_i)
-    B: np.ndarray  # diag of b_t(theta_i)
+    a: np.ndarray  # a_t(theta_i), the diagonal of A
+    b: np.ndarray  # b_t(theta_i), the diagonal of B
     C: np.ndarray  # first kernel quadrature
     D: np.ndarray  # delayed kernel quadrature
     E: np.ndarray  # integration of phi* up to theta_i
@@ -136,8 +136,8 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     phi = basis_matrix_z(grid, xi)
     # the weights of C, D~ (the undelayed D) and E / (theta / lam) on the table
     W = np.empty((3, n1, n1))
-    np.matmul(fac * scaled.kbar1(ti, eta), phi, out=W[0])
-    np.matmul(fac * scaled.kbar2(ti, eps * eta), phi, out=W[1])
+    for w, kbar in zip(W, (scaled.kbar1, scaled.kbar2)):
+        np.matmul(fac * kbar(ti, eta), phi, out=w)
     W[2] = quad_hat.weights @ basis_matrix_z(grid, quad_hat.z_nodes)
     C, Dt, E = dilation_product(grid, W)
     E *= (theta / lam)[:, None]
@@ -147,11 +147,9 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     D = Dt @ L
     H = eps * (E @ L)
 
-    A = np.diag(sample(scaled.a_t, theta))
-    B = np.diag(sample(scaled.b_t, theta))
-    fvec = np.array(sample(scaled.f_t, theta))
+    a, b, fvec = (np.array(sample(fn, theta)) for fn in (scaled.a_t, scaled.b_t, scaled.f_t))
     u0 = np.full(n1, scaled.phi0)
-    return SystemMatrices(A=A, B=B, C=C, D=D, E=E, H=H, fvec=fvec, u0=u0, grid=grid)
+    return SystemMatrices(a=a, b=b, C=C, D=D, E=E, H=H, fvec=fvec, u0=u0, grid=grid)
 
 
 def solve(sysm: SystemMatrices) -> DiscreteSolution:
@@ -164,10 +162,9 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     above ``_COND_LIMIT`` raises ``SingularSystemError``.
     """
     n1 = sysm.fvec.shape[0]
-    G = sysm.A + sysm.C + sysm.D
-    b = np.diagonal(sysm.B)  # B is diagonal: B X scales the rows of X
-    M = np.eye(n1) - G @ sysm.E - b[:, None] * sysm.H
-    rhs = G @ sysm.u0 + b * sysm.u0 + sysm.fvec
+    G = np.diag(sysm.a) + sysm.C + sysm.D
+    M = np.eye(n1) - G @ sysm.E - sysm.b[:, None] * sysm.H
+    rhs = G @ sysm.u0 + sysm.b * sysm.u0 + sysm.fvec
     if not np.isfinite(M).all():
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
     if not np.isfinite(rhs).all():

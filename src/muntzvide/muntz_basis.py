@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_jacobi, to_fractional
+from .quadrature import _validate_count, gauss_jacobi, to_fractional
 
 __all__ = [
     "CollocationGrid",
@@ -62,8 +62,7 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
     positive and strictly increasing, as when a small lam underflows the first
     ones to zero.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _validate_count("n", n, 1)
     frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
     theta = frac.nodes
     if not (theta[0] > 0.0 and np.all(np.diff(theta) > 0.0)):

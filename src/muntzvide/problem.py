@@ -118,9 +118,8 @@ class ScaledProblem:
 
     a_t(theta) = T a1(T theta)            (same for b_t, f_t)
     kbar1(theta, eta) = T^(2-mu) K1(T theta, T eta)
-    kbar2(theta, tau) = eps^(1-mu) T^(2-mu) K2(T theta, T tau)
-
-    kbar2 is always called with tau = eps*eta; phi0 is the initial value.
+    kbar2(theta, eta) = eps^(1-mu) T^(2-mu) K2(T theta, T eps eta)
+    phi0 = y0
     """
 
     a_t: ArrayFn
@@ -144,7 +143,7 @@ def scale_to_unit(p: VideProblem) -> ScaledProblem:
         b_t=lambda th: T * p.b1(T * th),
         f_t=None if f1 is None else (lambda th: T * f1(T * th)),
         kbar1=lambda th, eta: c1 * p.k1(T * th, T * eta),
-        kbar2=lambda th, tau: c2 * p.k2(T * th, T * tau),
+        kbar2=lambda th, eta: c2 * p.k2(T * th, T * (eps * eta)),
         mu=mu,
         eps=eps,
         phi0=p.y0,
@@ -283,9 +282,7 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
     theta = np.asarray(theta, dtype=float)
     th = theta[..., None]
     i1 = singular_integral(theta, lambda eta: scaled.kbar1(th, eta) * phi(eta), mu)
-    i2 = singular_integral(
-        theta, lambda eta: scaled.kbar2(th, eps * eta) * phi(eps * eta), mu
-    )
+    i2 = singular_integral(theta, lambda eta: scaled.kbar2(th, eta) * phi(eps * eta), mu)
     rhs = (
         scaled.a_t(theta) * phi(theta)
         + scaled.b_t(theta) * phi(eps * theta)

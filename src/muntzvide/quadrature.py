@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,11 @@ def _validate_lam(lam: float) -> None:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
 
 
+def _validate_count(name: str, value, least: int) -> None:
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _recurrence(npts: int, alpha: float, beta: float):
     """Diagonal / off-diagonal of the monic-Jacobi tridiagonal matrix."""
     ab = alpha + beta
@@ -115,17 +121,17 @@ def _recurrence(npts: int, alpha: float, beta: float):
     return diag, off
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     """npts-point Gauss-Jacobi rule, exact to polynomial degree 2*npts - 1.
 
     Golub-Welsch: nodes are the eigenvalues of the recurrence matrix, weights
     are mu_0 times the squared first eigenvector components.  The most recent
-    ``_RULE_CACHE_SIZE`` rules are cached; their arrays are read-only, so a
+    ``_RULE_CACHE_SIZE`` rules are cached by argument value and type (npts =
+    4.0 is checked, not served 4's rule); their arrays are read-only, so a
     repeat call hands every caller the same rule object.
     """
-    if npts < 1:
-        raise ValueError(f"need at least one point, got {npts}")
+    _validate_count("npts", npts, 1)
     _validate_exponents(alpha, beta)
     mu0 = 2.0 ** (alpha + beta + 1.0) * _beta_fn(alpha + 1.0, beta + 1.0)
     diag, off = _recurrence(npts, alpha, beta)

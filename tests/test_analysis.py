@@ -177,6 +177,34 @@ def test_config_rejects_bad_values_before_any_solve(monkeypatch, make, error, fi
     assert calls == []
 
 
+@pytest.mark.parametrize("n_list", [[4.5], [4, 6.0], [True, 4], [4, np.float64(6)]], ids=str)
+def test_sweep_rejects_a_non_integer_n_before_any_solve(monkeypatch, n_list):
+    # every N passes the one count rule before the first solve: a float never
+    # reaches numpy, and a bool is not a count
+    import muntzvide.analysis
+
+    calls = []
+    original = muntzvide.analysis.solve_once
+    monkeypatch.setattr(muntzvide.analysis, "solve_once", lambda *a: calls.append(a[1]) or original(*a))
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        convergence_sweep(make_example("5.1"), SolverConfig(), n_list)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, True])
+def test_solve_once_rejects_a_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        solve_once(make_example("5.1"), n, SolverConfig())
+
+
+def test_numpy_integer_n_is_a_count():
+    p = make_example("5.1")
+    table = convergence_sweep(p, SolverConfig(), [np.int64(4), np.int64(6)])
+    assert [r.n for r in table.rows] == [4, 6] and not any(r.failed for r in table.rows)
+    grid, _, _ = solve_once(p, np.int64(4), SolverConfig())
+    assert grid.n == 4
+
+
 def test_sweep_without_exact_needs_reference():
     p = make_example("5.4")
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import re
 from dataclasses import FrozenInstanceError, fields
@@ -301,12 +302,18 @@ def test_every_row_rendering_is_pinned(tmp_path, monkeypatch, capsys):
             SweepRow(n=4, l2_e=1.234567891e-3, linf_e=2e-2, l2_estar=0.0, linf_estar=9.87654321e-10, runtime_ms=12.34567),
             SweepRow(n=6, l2_e=nan, linf_e=nan, l2_estar=nan, linf_estar=nan, runtime_ms=0.0, failed=True, message="boom"),
             SweepRow(n=8, l2_e=nan, linf_e=nan, l2_estar=nan, linf_estar=nan, runtime_ms=3.5),
+            SweepRow(n=10, l2_e=0.0, linf_e=0.0, l2_estar=0.0, linf_estar=0.0, runtime_ms=0.25),
         ]
     )
     monkeypatch.setattr("muntzvide.cli.convergence_sweep", lambda *a, **k: table)
     out = tmp_path / "pin.csv"
-    rows = ["4,1.23457e-03,2.00000e-02,0.00000e+00,9.87654e-10,", "6,nan,nan,nan,nan,", "8,nan,nan,nan,nan,"]
-    for timing, runtimes in (("off", ["0.000"] * 3), ("on", ["12.346", "0.000", "3.500"])):
+    rows = [
+        "4,1.23457e-03,2.00000e-02,0.00000e+00,9.87654e-10,",
+        "6,nan,nan,nan,nan,",
+        "8,nan,nan,nan,nan,",
+        "10,0.00000e+00,0.00000e+00,0.00000e+00,0.00000e+00,",
+    ]
+    for timing, runtimes in (("off", ["0.000"] * 4), ("on", ["12.346", "0.000", "3.500", "0.250"])):
         spec = parse_config(f"mode = sweep\nproblem = 5.1\nN = 4:8:2\noutput = {out}\ntiming = {timing}\n")
         assert run(spec) == 1
         expected = [CSV_HEADER] + [row + ms for row, ms in zip(rows, runtimes)]
@@ -315,8 +322,10 @@ def test_every_row_rendering_is_pinned(tmp_path, monkeypatch, capsys):
             "N=  4  l2_e=1.23457e-03  linf_e=2.00000e-02  l2_e*=0.00000e+00  linf_e*=9.87654e-10  [ok]",
             "N=  6  l2_e=nan  linf_e=nan  l2_e*=nan  linf_e*=nan  [FAILED: boom]",
             "N=  8  l2_e=nan  linf_e=nan  l2_e*=nan  linf_e*=nan  [ok]",
+            "N= 10  l2_e=0.00000e+00  linf_e=0.00000e+00  l2_e*=0.00000e+00  linf_e*=0.00000e+00  [ok]",
         ]
-    plot = "4 -2.908485 -1.698970 -inf -9.005395\n8 -inf -inf -inf -inf\n"
+    # an unmeasured (NaN) error is nan, as in the CSV; an exact zero is -inf
+    plot = "4 -2.908485 -1.698970 -inf -9.005395\n8 nan nan nan nan\n10 -inf -inf -inf -inf\n"
     assert (tmp_path / "pin.plot.dat").read_text() == plot
     emit_plot_data(table, tmp_path / "direct.dat")
     assert (tmp_path / "direct.dat").read_text() == plot
@@ -511,3 +520,24 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
     # a bad line of the file itself is still reported by its number
     with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'"):
         parse_config("problem = 5.1\nbogus = 1\n", ["N=4"])
+
+
+def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
+    # tools/cli_snapshot.py: ten default CLI runs over the three modes, the
+    # byte-identity check between two versions of the code
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def tree(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    first, second = tool.snapshot(tmp_path / "a"), tool.snapshot(tmp_path / "b")
+    assert first == second
+    assert sorted(first.values()) == [0] * 9 + [2]
+    a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
+    assert a == b
+    # five files per run; the run that exits 2 writes no results
+    assert len(a) == 5 * 10 - 2
+    assert not any(str(tmp_path).encode() in data for data in a.values())

@@ -77,7 +77,8 @@ def test_kernel_tilde_lambda_one_cancels_ratio():
 def test_zero_problem_matrices(lam):
     p = zero_problem()
     grid, sysm = assembled(p, 8, lam)
-    assert np.all(sysm.A == 0) and np.all(sysm.B == 0)
+    assert sysm.a.shape == sysm.b.shape == (9,)
+    assert np.all(sysm.a == 0) and np.all(sysm.b == 0)
     assert np.allclose(sysm.C, 0.0, atol=0) and np.allclose(sysm.D, 0.0, atol=0)
     # row sums of the integration matrices are the collocation points
     assert sysm.E.sum(axis=1) == pytest.approx(grid.points, rel=1e-12)
@@ -188,7 +189,7 @@ def rowwise_assembly(scaled, grid, qmu, qhat):
         fac = (ti ** (1.0 - mu) / lam) * ratio * om
         rows.append((
             (fac * scaled.kbar1(ti, eta)) @ basis_matrix_z(grid, zi * xi),
-            (fac * scaled.kbar2(ti, eps * eta)) @ basis_matrix_z(grid, eps**lam * zi * xi),
+            (fac * scaled.kbar2(ti, eta)) @ basis_matrix_z(grid, eps**lam * zi * xi),
         ))
     return [np.array(m) for m in zip(*rows)] + rowwise_integration(grid, qhat, eps)
 
@@ -361,7 +362,7 @@ def test_post_solve_consistency_residuals():
     sol = solve(sysm)
     scale = 1.0 + float(np.max(np.abs(sol.u_star)))
     r1 = sol.u_star - (
-        (sysm.A + sysm.C + sysm.D) @ sol.u + sysm.B @ sol.v + sysm.fvec
+        (np.diag(sysm.a) + sysm.C + sysm.D) @ sol.u + sysm.b * sol.v + sysm.fvec
     )
     r2 = sol.u - (sysm.u0 + sysm.E @ sol.u_star)
     r3 = sol.v - (sysm.u0 + sysm.H @ sol.u_star)
@@ -409,18 +410,19 @@ def test_eval_solution_near_origin_approximates_initial_value():
 
 def system_with_matrix(m):
     """System whose reduced matrix I - (A+C+D)E - BH is exactly m."""
-    eye, zero = np.eye(len(m)), np.zeros_like(m)
+    n1 = len(m)
+    eye, zero = np.eye(n1), np.zeros_like(m)
     return SystemMatrices(
-        A=eye, B=zero, C=zero, D=zero, E=eye - m, H=zero,
-        fvec=np.ones(len(m)), u0=np.zeros(len(m)), grid=None,
+        a=np.ones(n1), b=np.zeros(n1), C=zero, D=zero, E=eye - m, H=zero,
+        fvec=np.ones(n1), u0=np.zeros(n1), grid=None,
     )
 
 
 def test_solution_keeps_the_condition_estimate():
     grid, sysm = assembled(make_example("5.1"), 16, 0.5)
     sol = solve(sysm)
-    G = sysm.A + sysm.C + sysm.D
-    M = np.eye(17) - G @ sysm.E - sysm.B @ sysm.H
+    G = np.diag(sysm.a) + sysm.C + sysm.D
+    M = np.eye(17) - G @ sysm.E - sysm.b[:, None] * sysm.H
     exact = np.linalg.cond(M, 1)
     assert math.isfinite(sol.cond) and sol.cond >= 1.0
     assert exact / 10.0 <= sol.cond <= 10.0 * exact

@@ -100,9 +100,10 @@ def test_scale_identity_horizon():
         assert sp.a_t(th) == pytest.approx(p.a1(th), rel=1e-15)
         assert sp.f_t(th) == pytest.approx(p.f1(th), rel=1e-14)
         assert sp.kbar1(th, 0.1) == pytest.approx(p.k1(th, 0.1), rel=1e-15)
-        # only the delayed kernel picks up the eps^(1-mu) factor
+        # only the delayed kernel picks up the eps^(1-mu) factor, and it
+        # takes the pulled-back variable: K2 is read at tau = eps * eta
         assert sp.kbar2(th, 0.1) == pytest.approx(
-            p.eps ** (1.0 - p.mu) * p.k2(th, 0.1), rel=1e-15
+            p.eps ** (1.0 - p.mu) * p.k2(th, p.eps * 0.1), rel=1e-15
         )
 
 
@@ -127,8 +128,9 @@ def test_scale_kernel_constant_factor():
     p = make_example("5.2")  # eps=0.6, T=0.5, mu=1/3, K2 = e^tau
     sp = scale_to_unit(p)
     factor = 0.6 ** (2.0 / 3.0) * 0.5 ** (5.0 / 3.0)
-    for th, tau in ((0.3, 0.1), (0.9, 0.5)):
-        assert sp.kbar2(th, tau) == pytest.approx(factor * math.exp(0.5 * tau), rel=1e-14)
+    for th, eta in ((0.3, 0.1), (0.9, 0.5)):
+        # tau = T * eps * eta
+        assert sp.kbar2(th, eta) == pytest.approx(factor * math.exp(0.5 * 0.6 * eta), rel=1e-14)
 
 
 def test_scale_round_trip_random_points():
@@ -142,6 +144,9 @@ def test_scale_round_trip_random_points():
         eta = 0.5 * th
         assert sp.kbar1(th, eta) == pytest.approx(
             p.T ** (2.0 - p.mu) * p.k1(p.T * th, p.T * eta), rel=1e-14
+        )
+        assert sp.kbar2(th, eta) == pytest.approx(
+            p.eps ** (1.0 - p.mu) * p.T ** (2.0 - p.mu) * p.k2(p.T * th, p.T * p.eps * eta), rel=1e-14
         )
 
 

@@ -173,11 +173,16 @@ def test_repeat_rule_is_the_cached_object():
 
 def test_invalid_rule_requests_raise_on_every_call():
     cases = [
-        ((0, 0.0, 0.0), "at least one point"),
+        ((0, 0.0, 0.0), "npts must be an integer >= 1"),
+        # equal to cached keys (4, 0.0, 0.0) and (1, 0.0, 0.0), but not counts
+        ((4.0, 0.0, 0.0), "npts must be an integer >= 1"),
+        ((True, 0.0, 0.0), "npts must be an integer >= 1"),
         ((4, -1.5, 0.0), "exceed -1"),
         ((4, 0.0, -1.0), "exceed -1"),
         ((4, math.nan, 0.0), "exceed -1"),
     ]
+    gauss_jacobi(4, 0.0, 0.0)
+    gauss_jacobi(1, 0.0, 0.0)
     for args, match in cases:
         for _ in range(2):
             with pytest.raises(ValueError, match=match):
