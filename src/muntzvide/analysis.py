@@ -121,8 +121,7 @@ class RateReport:
 
 
 def _linf_points(grid_size: int) -> np.ndarray:
-    if grid_size < 2:
-        raise ValueError(f"need at least two grid points, got {grid_size}")
+    _validate_count("grid_size", grid_size, 2)
     return np.linspace(_LINF_LEFT, 1.0, grid_size)
 
 

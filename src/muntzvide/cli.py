@@ -158,29 +158,22 @@ class RunSpec:
             for name in _CUSTOM_ONLY:
                 if getattr(self, name) is not None:
                     raise ConfigError(f"key {_KEY[name]!r} is only valid with problem = custom")
-        try:
-            SolverConfig(**{name: getattr(self, name) for name in _SOLVER_FIELDS})
-        except ValueError as exc:
-            # SolverConfig checks its fields in order, and each rule reads one
-            # field (the exponents' reads both, but a bad one fails beside the
-            # other's valid default), so the first to fail alone is at fault
-            for name in _SOLVER_FIELDS:
-                try:
-                    SolverConfig(**{name: getattr(self, name)})
-                except ValueError:
-                    raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
-        for name in ("mu", "eps", "horizon", "y0"):  # those given, by VideProblem's rules
+        # each value alone, so a failure names its own key: by SolverConfig's
+        # rules for its fields, by VideProblem's for the problem parameters given
+        for name in (*_SOLVER_FIELDS, "mu", "eps", "horizon", "y0"):
             value = getattr(self, name)
             try:
-                if value is not None:
+                if name in _SOLVER_FIELDS:
+                    SolverConfig(**{name: value})
+                elif value is not None:
                     _validate_parameters(**{_KEY[name]: value})
             except ValueError as exc:
                 raise ConfigError(f"invalid value for key {_KEY[name]!r}: {exc}") from exc
         if self.mode == "compare":
             if self.ref_n is None:
                 raise ConfigError("compare mode requires key 'ref_N'")
-            if self.ref_n <= max(n):
-                raise ConfigError(f"key 'ref_N' must exceed the largest N ({max(n)}), got {self.ref_n}")
+            if not (isinstance(self.ref_n, numbers.Integral) and self.ref_n > max(n)):
+                raise ConfigError(f"key 'ref_N' must be an integer above the largest N ({max(n)}), got {self.ref_n!r}")
         elif self.ref_n is not None:
             raise ConfigError("key 'ref_N' is only valid with mode = compare")
         if self.mode == "solve" and len(n) != 1:

@@ -86,8 +86,9 @@ class FractionalRule:
 
 
 def _validate_exponents(alpha: float, beta: float) -> None:
-    if not (alpha > -1.0 and beta > -1.0):  # NaN fails too
-        raise ValueError(f"Jacobi exponents (alpha, beta) must exceed -1, got ({alpha}, {beta})")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not value > -1.0:  # NaN fails too
+            raise ValueError(f"Jacobi exponent {name} must exceed -1, got {value}")
 
 
 def _validate_lam(lam: float) -> None:
@@ -133,7 +134,10 @@ def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     """
     _validate_count("npts", npts, 1)
     _validate_exponents(alpha, beta)
-    mu0 = 2.0 ** (alpha + beta + 1.0) * _beta_fn(alpha + 1.0, beta + 1.0)
+    try:
+        mu0 = 2.0 ** (alpha + beta + 1.0) * _beta_fn(alpha + 1.0, beta + 1.0)
+    except OverflowError as exc:
+        raise QuadratureError(f"rule mass overflows for alpha={alpha}, beta={beta}") from exc
     diag, off = _recurrence(npts, alpha, beta)
     try:
         nodes, vecs = eigh_tridiagonal(diag, off)

@@ -84,8 +84,9 @@ def test_weighted_l2_validates_m():
 def test_linf_zero_and_parabola():
     assert linf_error(lambda t: 0.0, 101) == 0.0
     assert linf_error(lambda t: t * (1.0 - t), 2001) == pytest.approx(0.25, abs=1e-7)
-    with pytest.raises(ValueError):
-        linf_error(lambda t: 0.0, 1)
+    for grid_size in (1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 2"):
+            linf_error(lambda t: 0.0, grid_size)
 
 
 def test_linf_includes_extra_points():

@@ -123,11 +123,13 @@ def test_parse_custom_problem_keys():
         ({"horizon": -1.0}, "T"),
         ({"y0": math.nan}, "y0"),
         ({"mode": "sweep", "ref_n": 8}, "ref_N"),
+        ({"mode": "compare", "problem": "5.4", "n_values": (4, 6), "ref_n": 40.5}, "ref_N"),
+        ({"alpha": -1.5, "beta": 0.5}, "alpha"),
     ],
     ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
          "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "forcing", "custom-coeff",
          "n-below-2", "n-empty", "n-decreasing", "alpha", "beta", "mu", "eps", "T", "y0",
-         "ref-outside-compare"],
+         "ref-outside-compare", "ref-not-int", "alpha-beside-beta"],
 )
 def test_hand_built_spec_is_checked_before_any_solve(tmp_path, monkeypatch, changes, key):
     import muntzvide.analysis as analysis
@@ -417,6 +419,20 @@ def test_non_finite_initial_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unformable_rule_fails_every_sweep_row(tmp_path, capsys):
+    # 2^(alpha+beta+1) overflows a float: a QuadratureError, as for a rule
+    # with nonpositive weights, not a traceback
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text(f"problem = 5.1\nN = 4:8:2\nalpha = 1100\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
+    assert len(rows) == 3 and all("FAILED: rule mass overflows" in r for r in rows)
+    assert out.exists() and not out.with_suffix(".plot.dat").exists()
+
+
 @pytest.mark.parametrize("mode", ["solve", "compare"])
 def test_solver_error_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch, mode):
     import muntzvide.cli as cli
@@ -523,7 +539,7 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
 
 
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
-    # tools/cli_snapshot.py: ten default CLI runs over the three modes, the
+    # tools/cli_snapshot.py: eleven default CLI runs over the three modes, the
     # byte-identity check between two versions of the code
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
     spec = importlib.util.spec_from_file_location("cli_snapshot", path)
@@ -535,9 +551,10 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
 
     first, second = tool.snapshot(tmp_path / "a"), tool.snapshot(tmp_path / "b")
     assert first == second
-    assert sorted(first.values()) == [0] * 9 + [2]
+    assert sorted(first.values()) == [0] * 9 + [1, 2]
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert a == b
-    # five files per run; the run that exits 2 writes no results
-    assert len(a) == 5 * 10 - 2
+    # five files per run; the run that exits 1 writes no plot data, and the
+    # run that exits 2 writes no results
+    assert len(a) == 5 * 11 - 1 - 2
     assert not any(str(tmp_path).encode() in data for data in a.values())

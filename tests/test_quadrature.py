@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from muntzvide import (
+    QuadratureError,
     beta,
     gauss_jacobi,
     singular_ratio,
@@ -171,6 +172,12 @@ def test_repeat_rule_is_the_cached_object():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("alpha, beta", [(1100.0, -0.5), (-0.5, 1100.0)])
+def test_overflowing_rule_mass_is_a_quadrature_error(alpha, beta):
+    with pytest.raises(QuadratureError, match="rule mass overflows"):
+        gauss_jacobi(4, alpha, beta)
+
+
 def test_invalid_rule_requests_raise_on_every_call():
     cases = [
         ((0, 0.0, 0.0), "npts must be an integer >= 1"),
@@ -180,6 +187,7 @@ def test_invalid_rule_requests_raise_on_every_call():
         ((4, -1.5, 0.0), "exceed -1"),
         ((4, 0.0, -1.0), "exceed -1"),
         ((4, math.nan, 0.0), "exceed -1"),
+        ((4, 0.0, -1.5), "exponent beta must exceed -1, got -1.5"),
     ]
     gauss_jacobi(4, 0.0, 0.0)
     gauss_jacobi(1, 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Run ten fixed CLI configs in process and write each run's outputs to a tree.
+"""Run eleven fixed CLI configs in process and write each run's outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -24,8 +24,10 @@ from muntzvide import cli
 
 SWEEP_N = "N = 4:16:2"
 
-# name -> (mode, config text); every run but the last exits 0, and the last
-# exits 2 (lambda = 1e-6 collapses the grid)
+# name -> (mode, config text); every run but the last two exits 0, the
+# alpha = 400 run exits 1 (every row fails at its 200-point L2 rule, so no
+# plot data is written), and the last exits 2 (lambda = 1e-6 collapses the
+# grid)
 RUNS = {
     "sweep-5.1": ("sweep", f"problem = 5.1\n{SWEEP_N}\n"),
     "sweep-5.2": ("sweep", f"problem = 5.2\n{SWEEP_N}\n"),
@@ -36,6 +38,7 @@ RUNS = {
     "sweep-5.1-mu0.25": ("sweep", f"problem = 5.1\n{SWEEP_N}\nmu = 0.25\n"),
     "compare-5.4-mu0.75": ("compare", f"problem = 5.4\n{SWEEP_N}\nmu = 0.75\nref_N = 48\n"),
     "solve-5.4": ("solve", "problem = 5.4\nN = 8\n"),
+    "sweep-5.1-alpha400": ("sweep", f"problem = 5.1\n{SWEEP_N}\nalpha = 400\n"),
     "sweep-5.1-lambda1e-6": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1e-6\n"),
 }
 
