@@ -46,8 +46,8 @@ _LINF_LEFT = 1e-12
 # weighted L2 and sup norm of y (phi), then of y' (phi*), in SweepRow's order
 ERROR_CHANNELS = ("l2_e", "linf_e", "l2_estar", "linf_estar")
 
-# the solver's own failures: a rule that does not converge, a singular
-# system, disagreeing forcing oracles
+# the solver's own failures, the only ways a solve fails: a rule or grid that
+# cannot be formed, a singular system, disagreeing forcing oracles
 SOLVER_ERRORS = (QuadratureError, SingularSystemError, OracleDisagreement)
 
 

@@ -312,18 +312,14 @@ def run(spec: RunSpec) -> int:
             row = SweepRow(sol.grid.n, runtime_ms=runtime_ms)
         table = ConvergenceTable(rows=[row])
         _write_nodal_dump(sol, side)
-    elif spec.mode == "sweep":
-        table = convergence_sweep(problem, config, spec.n_values)
     else:
-        ref = reference_solution(problem, config, spec.ref_n)
+        ref = reference_solution(problem, config, spec.ref_n) if spec.mode == "compare" else None
         table = convergence_sweep(problem, config, spec.n_values, reference=ref)
 
     _write_csv(table, out, spec.timing)
-    if spec.mode in ("sweep", "compare"):
-        try:
-            emit_plot_data(table, side)
-        except ValueError:
-            pass  # every row failed; the CSV still records the failures
+    # when every row failed there is nothing to plot; the CSV records the failures
+    if spec.mode != "solve" and not all(r.failed for r in table.rows):
+        emit_plot_data(table, side)
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
         errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)

@@ -118,9 +118,10 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     L = ``basis_matrix_z`` at eps^lam z.  Each kernel is called once, on the
     broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
     coefficient once, on all grid points.
+    An extreme grid exponent (beta = 300) crowds the nodes and the basis
+    overflows far from them: basis and table run without numpy warnings, the
+    problem's callables outside that, and ``solve`` names the non-finite system.
     """
-    if scaled.f_t is None:
-        raise ValueError("cannot assemble a problem without a forcing term")
     lam, mu, eps = grid.lam, scaled.mu, scaled.eps
     n1 = grid.n + 1
     theta, z = grid.points, grid.z_points
@@ -133,17 +134,17 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
     # endpoint-stable singular ratio, times the rule weight
     fac = (ti ** (1.0 - mu) / lam) * singular_ratio(xi, lam, mu) * om
-    phi = basis_matrix_z(grid, xi)
+    # Phi, Phi^ and L[l, j] = F_j(eps^lam z_l), which moves rows to the delayed points
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi, phi_hat, L = [basis_matrix_z(grid, x) for x in (xi, quad_hat.z_nodes, eps**lam * z)]
     # the weights of C, D~ (the undelayed D) and E / (theta / lam) on the table
     W = np.empty((3, n1, n1))
     for w, kbar in zip(W, (scaled.kbar1, scaled.kbar2)):
         np.matmul(fac * kbar(ti, eta), phi, out=w)
-    W[2] = quad_hat.weights @ basis_matrix_z(grid, quad_hat.z_nodes)
-    C, Dt, E = dilation_product(grid, W)
+    W[2] = quad_hat.weights @ phi_hat
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        C, Dt, E = dilation_product(grid, W)
     E *= (theta / lam)[:, None]
-    # the delay interpolation matrix L[l, j] = F_j(eps^lam z_l) moves the
-    # undelayed rows to the delayed points (see the module docstring)
-    L = basis_matrix_z(grid, eps**lam * z)
     D = Dt @ L
     H = eps * (E @ L)
 

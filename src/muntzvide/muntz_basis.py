@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _validate_count, gauss_jacobi, to_fractional
+from .quadrature import QuadratureError, _validate_count, gauss_jacobi, to_fractional
 
 __all__ = [
     "CollocationGrid",
@@ -58,15 +58,15 @@ class CollocationGrid:
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
     """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data.
 
-    Raises ``ValueError`` when the mapped nodes theta_j = z_j^(1/lam) are not
-    positive and strictly increasing, as when a small lam underflows the first
-    ones to zero.
+    Raises ``QuadratureError``, which fails a sweep's row, when the mapped
+    nodes theta_j = z_j^(1/lam) are not positive and strictly increasing, as
+    when a small lam underflows the first ones to zero.
     """
     _validate_count("n", n, 1)
     frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)
     theta = frac.nodes
     if not (theta[0] > 0.0 and np.all(np.diff(theta) > 0.0)):
-        raise ValueError(
+        raise QuadratureError(
             f"grid points collapse at N={n}, lam={lam}: the mapped nodes are not positive "
             f"and strictly increasing (theta_0 = {theta[0]:.3e}); use a larger lam"
         )

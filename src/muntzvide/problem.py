@@ -75,12 +75,13 @@ class VideProblem:
     """One equation instance on [0, T].
 
     ``k1``/``k2`` include any sign in front of their integral; ``exact`` and
-    ``exact_deriv`` are optional closed-form y and y'.
+    ``exact_deriv`` are optional closed-form y and y'.  The forcing ``f1`` is
+    required: a non-callable one raises ``ValueError``, here or in ``replace``.
     """
 
     a1: ArrayFn
     b1: ArrayFn
-    f1: Optional[ArrayFn]
+    f1: ArrayFn
     k1: KernelFn
     k2: KernelFn
     mu: float
@@ -92,6 +93,8 @@ class VideProblem:
     label: str = ""
 
     def __post_init__(self):
+        if not callable(self.f1):
+            raise ValueError(f"f1 must be a callable forcing, got {self.f1!r}")
         _validate_parameters(mu=self.mu, eps=self.eps, T=self.T, y0=self.y0)
 
 
@@ -124,7 +127,7 @@ class ScaledProblem:
 
     a_t: ArrayFn
     b_t: ArrayFn
-    f_t: Optional[ArrayFn]
+    f_t: ArrayFn
     kbar1: KernelFn
     kbar2: KernelFn
     mu: float
@@ -137,11 +140,10 @@ def scale_to_unit(p: VideProblem) -> ScaledProblem:
     T, mu, eps = p.T, p.mu, p.eps
     c1 = T ** (2.0 - mu)
     c2 = eps ** (1.0 - mu) * c1
-    f1 = p.f1
     return ScaledProblem(
         a_t=lambda th: T * p.a1(T * th),
         b_t=lambda th: T * p.b1(T * th),
-        f_t=None if f1 is None else (lambda th: T * f1(T * th)),
+        f_t=lambda th: T * p.f1(T * th),
         kbar1=lambda th, eta: c1 * p.k1(T * th, T * eta),
         kbar2=lambda th, eta: c2 * p.k2(T * th, T * (eps * eta)),
         mu=mu,
@@ -181,7 +183,7 @@ def default_lambda(mu: float) -> float:
 #     int_0^t (t-s)^(-mu) g(s) ds = t^(1-mu) * sum_k W_k g(t u_k).
 
 # panel levels of the dyadic rule, size of the mapped Gauss-Jacobi rule, and
-# the largest difference between the two oracles that a forcing accepts
+# the oracles' largest accepted difference (relative above an integral of 1)
 _DYADIC_LEVELS = 50
 _ORACLE_POINTS = 200
 _ORACLE_TOL = 1e-9
@@ -209,7 +211,6 @@ def _dyadic_rule(mu: float):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=32)
 def _mapped_rule(mu: float):
     """Gauss-Jacobi rule in xi = (s/t)^lam, lam = default_lambda(mu); it absorbs the singular weight."""
     lam = default_lambda(mu)
@@ -245,8 +246,9 @@ def manufactured_forcing(y: ArrayFn, y_prime: ArrayFn, skeleton: VideProblem) ->
     Rearranges the equation: f1 = y' - a1 y - b1 y(eps t) - (K1 y) - (K2 y).
     Each weakly singular integral is evaluated at all t at once, by the
     mapped Gauss-Jacobi rule and by the dyadic-panel rule; unless they agree
-    to ``_ORACLE_TOL`` = 1e-9 at every t (a NaN never agrees),
-    ``OracleDisagreement`` names the first t that fails.
+    at every t to ``_ORACLE_TOL`` = 1e-9 times max(1, |I|), with I the
+    dyadic-panel value (1e-9 absolute where |I| <= 1, relative above it; a
+    NaN never agrees), ``OracleDisagreement`` names the first t that fails.
     """
     mu, eps = skeleton.mu, skeleton.eps
     mapped = _mapped_rule(mu)
@@ -257,12 +259,13 @@ def manufactured_forcing(y: ArrayFn, y_prime: ArrayFn, skeleton: VideProblem) ->
         for horizon, kernel in ((t, skeleton.k1), (eps * t, skeleton.k2)):
             g = lambda s: kernel(t[..., None], s) * y(s)  # noqa: E731
             i, i_alt = _apply_rule(mapped, horizon, g, mu), singular_integral(horizon, g, mu)
-            bad = np.flatnonzero(~(np.abs(i - i_alt) <= _ORACLE_TOL))
+            tol = _ORACLE_TOL * np.maximum(1.0, np.abs(i_alt))
+            bad = np.flatnonzero(~(np.abs(i - i_alt) <= tol))
             if bad.size:
                 k = bad[0]
                 raise OracleDisagreement(
                     f"singular-integral oracles disagree at t={np.ravel(t)[k]}: "
-                    f"|{np.ravel(i)[k]} - {np.ravel(i_alt)[k]}| vs tol {_ORACLE_TOL}"
+                    f"|{np.ravel(i)[k]} - {np.ravel(i_alt)[k]}| vs tol {np.ravel(tol)[k]:.3g}"
                 )
             total = total - i
         return total
@@ -276,8 +279,6 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
     Both Volterra terms are evaluated with the dyadic-panel oracle, so a
     correct (phi, phi', f_t) triple gives residuals at oracle accuracy.
     """
-    if scaled.f_t is None:
-        raise ValueError("scaled problem has no forcing term")
     mu, eps = scaled.mu, scaled.eps
     theta = np.asarray(theta, dtype=float)
     th = theta[..., None]
@@ -318,10 +319,10 @@ def _manufactured(
     """
     if forcing not in FORCINGS:
         raise ValueError(f"forcing must be one of {FORCINGS}, got {forcing!r}")
-    skeleton = VideProblem(
+    problem = VideProblem(
         a1=lambda t: -1.0,
         b1=lambda t: 1.0,
-        f1=None,
+        f1=printed,
         k1=lambda t, s: -g(s),
         k2=lambda t, s: g(s),
         mu=mu,
@@ -332,7 +333,7 @@ def _manufactured(
         exact_deriv=yp,
         label=label,
     )
-    return replace(skeleton, f1=printed if forcing == "printed" else manufactured_forcing(y, yp, skeleton))
+    return problem if forcing == "printed" else replace(problem, f1=manufactured_forcing(y, yp, problem))
 
 
 def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:

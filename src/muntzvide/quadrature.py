@@ -57,7 +57,8 @@ _beta_fn = beta
 
 
 class QuadratureError(RuntimeError):
-    """Node/weight computation failed to converge."""
+    """A rule or grid cannot be formed: bad nodes or weights, an overflowing
+    mass, or collapsing collocation points (``muntz_basis.build_grid``)."""
 
 
 @dataclass(frozen=True, eq=False)

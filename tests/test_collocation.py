@@ -326,14 +326,12 @@ def test_assembly_scratch_memory_at_large_n():
 
 
 def test_assemble_requires_forcing():
+    # a problem without a callable forcing is refused when it is built, so
+    # assemble never meets one
     p = make_example("5.1")
-    skeleton = VideProblem(
-        a1=p.a1, b1=p.b1, f1=None, k1=p.k1, k2=p.k2,
-        mu=p.mu, eps=p.eps, T=p.T, y0=p.y0,
-    )
-    grid = build_grid(4, -0.5, -0.5, 0.5)
-    with pytest.raises(ValueError):
-        assemble(scale_to_unit(skeleton), grid)
+    for f1 in (None, 0.0):
+        with pytest.raises(ValueError, match=f"^f1 must be a callable forcing, got {f1}$"):
+            VideProblem(a1=p.a1, b1=p.b1, f1=f1, k1=p.k1, k2=p.k2, mu=p.mu, eps=p.eps, T=p.T, y0=p.y0)
 
 
 # --- solve ----------------------------------------------------------------------

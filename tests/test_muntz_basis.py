@@ -5,6 +5,7 @@ import pytest
 
 from muntzvide import (
     CollocationGrid,
+    QuadratureError,
     basis_matrix_z,
     build_grid,
     gauss_jacobi,
@@ -75,7 +76,7 @@ def test_build_grid_validates():
 @pytest.mark.parametrize("n", [64, 128])
 def test_build_grid_rejects_collapsed_points(n):
     # at lam = 1/128 theta_0 = z_0^128 underflows to 0 and repeats
-    with pytest.raises(ValueError, match=f"N={n}, lam=0.0078125"):
+    with pytest.raises(QuadratureError, match=f"N={n}, lam=0.0078125"):
         build_grid(n, -0.5, -0.5, 1.0 / 128.0)
 
 

@@ -294,7 +294,7 @@ def test_manufactured_constant_solution():
     skeleton = VideProblem(
         a1=lambda t: 0.0,
         b1=lambda t: 0.0,
-        f1=None,
+        f1=lambda t: 0.0,
         k1=lambda t, s: 0.0,
         k2=lambda t, s: 0.0,
         mu=0.5,
@@ -341,9 +341,9 @@ def test_corrected_forcing_residuals(key):
 
 
 def test_scaled_residual_needs_a_forcing():
-    sp = scale_to_unit(dataclasses.replace(make_example("5.4"), f1=None))
-    with pytest.raises(ValueError, match="no forcing"):
-        scaled_residual(sp, np.cos, np.sin, 0.5)
+    # replace runs the construction check, so no scaled problem lacks its f_t
+    with pytest.raises(ValueError, match="^f1 must be a callable forcing, got None$"):
+        dataclasses.replace(make_example("5.4"), f1=None)
 
 
 def test_scaled_residual_takes_arrays():

@@ -1,4 +1,4 @@
-"""Run eleven fixed CLI configs in process and write each run's outputs to a tree.
+"""Run thirteen fixed CLI configs in process and write each run's outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -24,10 +24,11 @@ from muntzvide import cli
 
 SWEEP_N = "N = 4:16:2"
 
-# name -> (mode, config text); every run but the last two exits 0, the
-# alpha = 400 run exits 1 (every row fails at its 200-point L2 rule, so no
-# plot data is written), and the last exits 2 (lambda = 1e-6 collapses the
-# grid)
+# name -> (mode, config text); every run but the last four exits 0.  Three
+# exit 1: at alpha = 400 every row fails at its 200-point L2 rule, and at
+# lambda = 1e-6 every row's grid collapses, so neither writes plot data; at
+# lambda = 1/128 the grid collapses from N = 14 on, so rows 4-12 are plotted.
+# The last exits 2 before any solve (lambda = 1.5 is outside (0, 1]).
 RUNS = {
     "sweep-5.1": ("sweep", f"problem = 5.1\n{SWEEP_N}\n"),
     "sweep-5.2": ("sweep", f"problem = 5.2\n{SWEEP_N}\n"),
@@ -40,6 +41,8 @@ RUNS = {
     "solve-5.4": ("solve", "problem = 5.4\nN = 8\n"),
     "sweep-5.1-alpha400": ("sweep", f"problem = 5.1\n{SWEEP_N}\nalpha = 400\n"),
     "sweep-5.1-lambda1e-6": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1e-6\n"),
+    "sweep-5.1-lambda1over128": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 0.0078125\n"),
+    "sweep-5.1-lambda1.5": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1.5\n"),
 }
 
 
