@@ -132,7 +132,9 @@ def _l2_norm(weights: np.ndarray, vals: np.ndarray):
 
 
 def _sup_norm(vals: np.ndarray):
-    return np.max(np.abs(vals), axis=0)
+    # each channel reduced along its own contiguous row: over the (P, c) array
+    # itself numpy would step c elements at a time
+    return np.abs(vals.T, order="C").max(axis=-1)
 
 
 def weighted_l2_error(

@@ -25,8 +25,8 @@ quad_mu's nodes, a row's weights v_i (kernel times rule weight) become
 W_i = v_i Phi, and quad_hat's weights w^ become the one row w^ Phi^ shared by
 every row of E.  C, D~ (D at the undelayed points) and E / (theta / lam) are
 then the three channels of ``dilation_product``, which builds the table's
-Cauchy array in square tiles of rows i and l, for the l-block at or past the
-i-block only.
+Cauchy array in block rows of near-equal height, each a row of square tiles
+of rows i and l, for the l-blocks at or past the i-block only.
 
 The delayed rows D, H sample the basis at eps^lam z_i xi_k.  By the same
 argument F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y), and with the delay
@@ -111,10 +111,10 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
 
     with Phi = ``basis_matrix_z`` at quad_mu's nodes and Phi^ at quad_hat's:
     two GEMMs on the (N+1, K) kernel weights and one row for E.  The
-    symmetric table F_j(z_i z_l) is built by ``dilation_product`` in square
-    tiles, off the diagonal for one of (i, l) and (l, i) only: Cauchy entries
-    per ``assemble`` are those tiles plus Phi, Phi^ and L, 4,174,590 at
-    N = 192.  D, H follow from D~, E by two matrix products with
+    symmetric table F_j(z_i z_l) is built by ``dilation_product`` in block
+    rows of square tiles, off the diagonal for one of (i, l) and (l, i) only:
+    Cauchy entries per ``assemble`` are those tiles plus Phi, Phi^ and L,
+    4,155,676 at N = 192.  D, H follow from D~, E by two matrix products with
     L = ``basis_matrix_z`` at eps^lam z.  Each kernel is called once, on the
     broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
     coefficient once, on all grid points.
@@ -164,13 +164,17 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     """
     n1 = sysm.fvec.shape[0]
     G = np.diag(sysm.a) + sysm.C + sysm.D
-    M = np.eye(n1) - G @ sysm.E - sysm.b[:, None] * sysm.H
+    # M in Fortran order, so that getrf factors it in place
+    M = np.eye(n1, order="F")
+    M -= G @ sysm.E
+    M -= sysm.b[:, None] * sysm.H
     rhs = G @ sysm.u0 + sysm.b * sysm.u0 + sysm.fvec
     if not np.isfinite(M).all():
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
     if not np.isfinite(rhs).all():
         raise SingularSystemError("right-hand side has non-finite entries", math.nan)
-    anorm = np.linalg.norm(M, 1)
+    # the 1-norm as np.linalg.norm takes it of a C-ordered M: column sums accumulated row by row
+    anorm = np.abs(M, order="C").sum(axis=0).max()
     # getrf and getrs are what scipy.linalg's LU factor and solve call; called
     # directly getrf reports an exact zero pivot through info rather than a
     # LinAlgWarning, which only a process-wide (not thread-safe) warnings filter could silence

@@ -13,8 +13,9 @@ in the tests as a small-N cross-check only.
     * ``interpolate``      - the interpolant of nodal values at any theta;
     * ``basis_matrix_z``   - the table F_j(z_m) at mapped coordinates z;
     * ``dilation_product`` - sum_l W[i, l] F_j(z_i z_l) over the grid's
-      dilation table, which is symmetric in (i, l): it is built in square
-      tiles, and a tile off the diagonal serves both (i, l) and (l, i).
+      dilation table, which is symmetric in (i, l): it is built in block
+      rows of near-equal height, each a row of square tiles at or past the
+      diagonal, and a tile off the diagonal serves both (i, l) and (l, i).
 
 All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
 points, whose row for a z within ``_SNAP_TOL`` of node k is e_k instead.
@@ -40,9 +41,10 @@ __all__ = [
 # within this distance of a node (in z) the barycentric form is 0/0: the z
 # takes that node's Kronecker row as its Cauchy row instead
 _SNAP_TOL = 1e-15
-# ``dilation_product`` builds its table in square tiles of width
-# isqrt(_BLOCK_ENTRIES // (N+1)), each holding at most this many entries of a
-# (width, width, N+1) Cauchy array, which bounds its scratch memory
+# ``dilation_product`` splits the N+1 rows into ceil((N+1) / width) blocks of
+# near-equal size for width = isqrt(_BLOCK_ENTRIES // (N+1)), so that a square
+# tile of two blocks holds at most this many entries of its (block, block, N+1)
+# Cauchy array, which bounds its scratch memory
 _BLOCK_ENTRIES = 2**17
 
 
@@ -81,18 +83,25 @@ def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid
     return CollocationGrid(n=n, lam=lam, points=theta, z_points=z, bary_weights=bary)
 
 
-def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None):
+def _nearest(grid: CollocationGrid, z: np.ndarray):
+    """The node nearest each z, and whether z lies within _SNAP_TOL of it."""
+    nodes = grid.z_points
+    right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
+    near = right - (z - nodes[right - 1] < nodes[right] - z)
+    return near, np.abs(z - nodes[near]) <= _SNAP_TOL
+
+
+def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None, nearest=None):
     """R = 1 / (z - z_j), the node nearest each z, and whether z lies within _SNAP_TOL of it.
 
     R has shape ``z.shape + (N+1,)`` and is written into ``out`` when one is
-    given (a C-contiguous array of that shape).  A snapped z (moved off [0, 1]
+    given (a C-contiguous array of that shape).  ``nearest`` is ``_nearest``
+    of these z when the caller has it already.  A snapped z (moved off [0, 1]
     so as not to divide by zero) has its node's Kronecker row e_k as its row,
     so the barycentric form gives F_j = w_j delta_jk / w_k, exactly delta_jk.
     """
     nodes = grid.z_points
-    right = np.searchsorted(nodes[1:-1], z) + 1  # z lies in (or past) [right-1, right]
-    near = right - (z - nodes[right - 1] < nodes[right] - z)
-    snap = np.abs(z - nodes[near]) <= _SNAP_TOL
+    near, snap = _nearest(grid, z) if nearest is None else nearest
     if out is None:
         out = np.empty(z.shape + nodes.shape)
     # z - z_j as one K = 2 product [z, 1] @ [[1 ... 1], [-z_j]]: its products
@@ -124,23 +133,30 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     cauchy, _, _ = _cauchy(grid, z)
     w = grid.bary_weights
-    return (cauchy * w) / (cauchy @ w)[..., None]
+    s = cauchy @ w
+    cauchy *= w
+    cauchy /= s[..., None]
+    return cauchy
 
 
 def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     """out[..., i, j] = sum_l W[..., i, l] F_j(z_i z_l) over the grid's dilation table.
 
     ``W`` has shape (N+1, N+1), or (c, N+1, N+1) for c channels, and the result
-    has its shape.  The table F_j(z_i z_l) is symmetric in (i, l), so it is
-    built in square tiles, an i-block [a, b) against an l-block [e, f) with
-    e >= a, each holding at most ``_BLOCK_ENTRIES`` Cauchy entries.  A tile's
-    Cauchy array of the points z_i z_l takes its pairs (i, l) directly and,
-    off the diagonal, the same entries transposed as its pairs (l, i); both
-    are batched products w * ((W / S) @ R), with S as in ``basis_matrix_z``,
-    that contract over the tile width.  That is n1 (n1^2 + sum |block|^2) / 2
-    Cauchy entries for n1 = N+1, and all (N+1)^3 when one tile holds the whole
-    table (N <= 49).  Every tile is built in one scratch buffer; a snapped
-    pair is like any other.  Any other shape of ``W`` raises ``ValueError``.
+    has its shape; its channels are strided views of one (N+1, c, N+1) array.
+    The table F_j(z_i z_l) is symmetric in (i, l), so it is built in block
+    rows: the rows fall in ceil((N+1) / width) blocks whose sizes differ by at
+    most one (see ``_BLOCK_ENTRIES``), and block row [a, b) is a row of square
+    tiles, one for each l-block [e, f) with e >= a.  The nearest node and snap
+    flag of its points z_i z_l, l >= a, are found once for the whole block row.
+    A tile's Cauchy array takes its pairs (i, l) directly and, off the
+    diagonal, the same entries transposed as its pairs (l, i); both are
+    batched products w * ((W / S) @ R), with S as in ``basis_matrix_z``, that
+    contract over the tile width and add into whole rows of the (i, c, j) sums.
+    That is n1 (n1^2 + sum |block|^2) / 2 Cauchy entries for n1 = N+1, and all
+    (N+1)^3 when one tile holds the whole table (N <= 49).  Every tile is
+    built in one scratch buffer; a snapped pair is like any other.  Any other
+    shape of ``W`` raises ``ValueError``.
     """
     n1 = grid.n + 1
     W = np.asarray(W, dtype=float)
@@ -148,26 +164,28 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
         raise ValueError(f"expected W of shape ({n1}, {n1}) or (c, {n1}, {n1}), got {W.shape}")
     chan = W.reshape(-1, n1, n1)
     z, w = grid.z_points, grid.bary_weights
-    table = np.multiply.outer(z, z)  # the points z_i z_l, symmetric
-    out = np.zeros(chan.shape)  # the sums over l, still without the factor w_j
-    width = min(n1, max(1, math.isqrt(_BLOCK_ENTRIES // n1)))
-    scratch = np.empty(width * width * n1)
-    for a in range(0, n1, width):
-        b = min(a + width, n1)
-        for e in range(a, n1, width):
-            f = min(e + width, n1)
+    sums = np.zeros((n1, chan.shape[0], n1))  # (i, c, j): the sums over l, without w_j
+    count = -(-n1 // max(1, math.isqrt(_BLOCK_ENTRIES // n1)))
+    edges = [k * n1 // count for k in range(count + 1)]
+    blocks = list(zip(edges, edges[1:]))
+    largest = -(-n1 // count)
+    scratch = np.empty(largest * largest * n1)
+    for r, (a, b) in enumerate(blocks):
+        row = np.multiply.outer(z[a:b], z[a:])  # the points z_i z_l with l >= a
+        near, snap = _nearest(grid, row)
+        for e, f in blocks[r:]:
+            cols = slice(e - a, f - a)
             tile = scratch[: (b - a) * (f - e) * n1].reshape(b - a, f - e, n1)
-            cauchy, _, _ = _cauchy(grid, table[a:b, e:f], out=tile)
+            cauchy, _, _ = _cauchy(grid, row[:, cols], tile, (near[:, cols], snap[:, cols]))
             inv_s = 1.0 / (cauchy @ w)  # (i, l)
             # pairs (i, l): (i, c, l) @ (i, l, j)
-            coef = (chan[:, a:b, e:f] * inv_s).transpose(1, 0, 2)
-            out[:, a:b] += (coef @ cauchy).transpose(1, 0, 2)
+            sums[a:b] += (chan[:, a:b, e:f] * inv_s).transpose(1, 0, 2) @ cauchy
             if e > a:
                 # pairs (l, i) off the diagonal: (l, c, i) @ (l, i, j)
                 coef = (chan[:, e:f, a:b] * inv_s.T).transpose(1, 0, 2)
-                out[:, e:f] += (coef @ cauchy.transpose(1, 0, 2)).transpose(1, 0, 2)
-    out *= w
-    return out.reshape(W.shape)
+                sums[e:f] += coef @ cauchy.transpose(1, 0, 2)
+    sums *= w
+    return sums.transpose(1, 0, 2).reshape(W.shape)
 
 
 def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:

@@ -114,6 +114,18 @@ def test_linf_reports_interior_nan():
     err = lambda t: np.where((0.4 < t) & (t < 0.6), np.nan, 0.1)  # noqa: E731
     assert math.isnan(linf_error(err, 11))
     assert math.isnan(weighted_l2_error(err, 0.0, 0.0, 11))
+    # an error row reduces the (P, 2) errors of (phi, phi*) together: a NaN
+    # node value makes its own channel NaN and leaves the other bitwise as it was
+    p, config = make_example("5.1"), SolverConfig()
+    _, sol, _ = solve_once(p, 6, config)
+    clean = error_row(p, sol, config, None, 1.0)
+    for field, own, other in (("u", ("l2_e", "linf_e"), ("l2_estar", "linf_estar")),
+                              ("u_star", ("l2_estar", "linf_estar"), ("l2_e", "linf_e"))):
+        values = getattr(sol, field).copy()
+        values[3] = np.nan
+        row = error_row(p, dataclasses.replace(sol, **{field: values}), config, None, 1.0)
+        assert all(math.isnan(getattr(row, name)) for name in own)
+        assert [getattr(row, name) for name in other] == [getattr(clean, name) for name in other]
 
 
 # --- sweeps ---------------------------------------------------------------------

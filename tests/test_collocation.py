@@ -240,32 +240,34 @@ def test_delayed_rows_match_rowwise_basis_tables_at_eps_edges(n, lam, mu, eps):
 
 def test_assembly_builds_half_the_dilation_table_and_the_delay_matrix(monkeypatch):
     # C, D~ and E share the dilation table F_j(z_i z_l), built in square tiles
-    # of blocks A of the rows: a tile off the diagonal serves both (i, l) and
-    # (l, i), a diagonal tile is built whole.  Phi and Phi^ (the basis at the
-    # quad_mu and quad_hat nodes) and L take one (N+1) x (N+1) array each; D
-    # and H need no Cauchy array of their own
+    # of near-equal blocks of the rows: a tile off the diagonal serves both
+    # (i, l) and (l, i), a diagonal tile is built whole.  Phi and Phi^ (the
+    # basis at the quad_mu and quad_hat nodes) and L take one (N+1) x (N+1)
+    # array each; D and H need no Cauchy array of their own
     import muntzvide.muntz_basis as muntz_basis
 
     entries = []
     cauchy = muntz_basis._cauchy
 
-    def counting(grid, z, out=None):
-        got = cauchy(grid, z, out=out)
+    def counting(grid, z, out=None, nearest=None):
+        got = cauchy(grid, z, out=out, nearest=nearest)
         entries.append(got[0].size)
         return got
 
     monkeypatch.setattr(muntz_basis, "_cauchy", counting)
-    for n in (8, 40, 128):
+    totals = {}
+    for n in (8, 40, 128, 192):
         n1 = n + 1
-        width = min(n1, math.isqrt(muntz_basis._BLOCK_ENTRIES // n1))
-        blocks = [min(width, n1 - a) for a in range(0, n1, width)]
+        count = -(-n1 // math.isqrt(muntz_basis._BLOCK_ENTRIES // n1))
+        blocks = [n1 // count + (k < n1 % count) for k in range(count)]
         table = n1 * (n1**2 + sum(size**2 for size in blocks)) // 2
         entries.clear()
         assembled(kernel_problem(0.5), n, 0.5)
         assert sum(entries) == table + 3 * n1**2
-    # at N = 128 the tiles are 31 wide: 4 full blocks and one of 5
-    assert blocks == [31, 31, 31, 31, 5]
-    assert sum(entries) == 1_372_818
+        totals[n] = sum(entries)
+    # at N = 128 the 129 rows fall in 5 blocks (tiles up to 31 wide): 26, 26,
+    # 26, 26 and 25 rows; at N = 192 in 8 blocks of 24 and 25 rows
+    assert totals[128] == 1_337_988 and totals[192] == 4_155_676
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 0.95])
@@ -426,6 +428,35 @@ def test_solution_keeps_the_condition_estimate():
     assert exact / 10.0 <= sol.cond <= 10.0 * exact
     # a hand-built solution has no estimate
     assert math.isnan(type(sol)(sol.u_star, sol.u, sol.v, grid).cond)
+
+
+def test_solve_factors_the_reduced_matrix_in_place(monkeypatch):
+    # M is built in Fortran order, so getrf overwrites it rather than a copy,
+    # and its factors are bitwise those of the C-ordered M
+    import muntzvide.collocation as collocation
+    from scipy.linalg import lu_factor
+
+    factors = []
+    lapack = collocation.get_lapack_funcs
+
+    def recording(names, arrays):
+        getrf, *rest = lapack(names, arrays)
+
+        def factor(a, **kwargs):
+            lu, piv, info = getrf(a, **kwargs)
+            factors.append((np.shares_memory(lu, a), lu.copy(), piv))
+            return lu, piv, info
+
+        return (factor, *rest)
+
+    monkeypatch.setattr(collocation, "get_lapack_funcs", recording)
+    grid, sysm = assembled(make_example("5.1"), 16, 0.5)
+    solve(sysm)
+    G = np.diag(sysm.a) + sysm.C + sysm.D
+    lu, piv = lu_factor(np.eye(17) - G @ sysm.E - sysm.b[:, None] * sysm.H)
+    [(in_place, got_lu, got_piv)] = factors
+    assert in_place
+    assert np.array_equal(got_lu, lu) and np.array_equal(got_piv, piv)
 
 
 @pytest.mark.filterwarnings("error")

@@ -280,11 +280,20 @@ def test_cauchy_product_is_bitwise_the_subtraction(n, lam):
 @pytest.mark.parametrize("block_entries", [9, 12, 2**17])
 def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_entries):
     # z = {1/4, 1/2, 1}: z_i z_l lands on a node for every pair but (1/4, 1/4)
-    # and (1/4, 1/2).  With 1-wide tiles (9 entries) and 2-wide tiles (12
-    # entries, whose off-diagonal tile [0, 2) x [2, 3) is ragged) the snapped
-    # pairs go through both the direct and the transposed direction; 2**17
-    # builds the table as one tile
+    # and (1/4, 1/2).  Blocks of 1 row (9 entries) and the blocks [0, 1) and
+    # [1, 3) (12 entries) put snapped pairs in the tiles of both block rows,
+    # and off the diagonal through both the direct and the transposed
+    # direction; 2**17 builds the table as one tile
     monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", block_entries)
+    tiles = []
+    cauchy = muntz_basis._cauchy
+
+    def counting(grid, z, out=None, nearest=None):
+        got = cauchy(grid, z, out=out, nearest=nearest)
+        tiles.append(int(got[2].sum()))
+        return got
+
+    monkeypatch.setattr(muntz_basis, "_cauchy", counting)
     z = np.array([0.25, 0.5, 1.0])
     bary = 1.0 / np.array([np.prod(np.delete(z[j] - z, j)) for j in range(3)])
     grid = CollocationGrid(n=2, lam=1.0, points=z, z_points=z, bary_weights=bary)
@@ -295,6 +304,8 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
         for c in range(2)
     ])
     got = muntz_basis.dilation_product(grid, W)
+    # snapped points per tile, block row by block row
+    assert tiles == {9: [0, 0, 1, 1, 1, 1], 12: [0, 1, 4], 2**17: [6]}[block_entries]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
     # the row-by-row reference goes through basis_matrix_z, the other consumer
     # of _cauchy's Kronecker rows
@@ -320,7 +331,7 @@ def rowwise_dilation(grid, W):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_dilation_product_tiles_match_one_tile(monkeypatch, width):
-    # 41 rows in tiles 1, 2 and 3 wide (the last tile of 2 and 3 is ragged)
+    # 41 rows in 41, 21 and 14 near-equal blocks: 1, 1-2 and 2-3 rows each
     n, lam = 40, 0.5
     grid = build_grid(n, -0.5, -0.5, lam)
     W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
@@ -333,12 +344,25 @@ def test_dilation_product_tiles_match_one_tile(monkeypatch, width):
     np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
 
 
-def test_dilation_product_many_tiles_match_rows():
-    # at N = 192 the default tiles are 26 wide: 7 full blocks and one of 11
-    n, lam = 192, 0.5
-    grid = build_grid(n, -0.5, -0.5, lam)
-    assert math.isqrt(muntz_basis._BLOCK_ENTRIES // (n + 1)) == 26
+@pytest.mark.parametrize("n", [80, 184, 192])
+def test_dilation_product_many_tiles_match_rows(monkeypatch, n):
+    # the N+1 rows fall in -(-(N+1) // width) near-equal blocks for the tile
+    # width isqrt(_BLOCK_ENTRIES // (N+1)); blocks of that width would leave a
+    # last block of 1 row at N = 80 and 3 rows at N = 184
+    grid = build_grid(n, -0.5, -0.5, 0.5)
+    width = math.isqrt(muntz_basis._BLOCK_ENTRIES // (n + 1))
+    rows = []
+    nearest = muntz_basis._nearest
+
+    def counting(grid, z):
+        rows.append(z.shape[0])
+        return nearest(grid, z)
+
+    monkeypatch.setattr(muntz_basis, "_nearest", counting)
     W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
     got = muntz_basis.dilation_product(grid, W)
+    # one snap search per block row
+    assert (width, sorted(set(rows))) == {80: (40, [27]), 184: (26, [23, 24]), 192: (26, [24, 25])}[n]
+    assert len(rows) == -(-(n + 1) // width) and sum(rows) == n + 1
     ref = rowwise_dilation(grid, W)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
