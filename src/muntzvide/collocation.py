@@ -24,9 +24,8 @@ F_j(z_i z_l), a table symmetric in (i, l).  With Phi[k, l] = F_l(xi_k) on
 quad_mu's nodes, a row's weights v_i (kernel times rule weight) become
 W_i = v_i Phi, and quad_hat's weights w^ become the one row w^ Phi^ shared by
 every row of E.  C, D~ (D at the undelayed points) and E / (theta / lam) are
-then the three channels of ``dilation_product``, which builds the table's
-Cauchy array in block rows of near-equal height, each a row of square tiles
-of rows i and l, for the l-blocks at or past the i-block only.
+then the three channels of one ``dilation_product`` call, which builds the
+table once for all three (its docstring gives the layout).
 
 The delayed rows D, H sample the basis at eps^lam z_i xi_k.  By the same
 argument F_j(eps^lam y) = sum_l F_j(eps^lam z_l) F_l(y), and with the delay
@@ -91,7 +90,9 @@ class DiscreteSolution:
     u: np.ndarray
     v: np.ndarray
     grid: CollocationGrid
-    # 1-norm condition estimate of the reduced matrix; NaN unless ``solve`` made it
+    # 1-norm condition estimate of the reduced matrix; NaN unless ``solve`` made it.
+    # It is stable within a process but can differ in its last ulp or two
+    # between processes, so compare it to within a few ulps, not bitwise
     cond: float = math.nan
 
 
@@ -110,10 +111,9 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
         E = (theta / lam) dilation_product(grid, w^ Phi^),
 
     with Phi = ``basis_matrix_z`` at quad_mu's nodes and Phi^ at quad_hat's:
-    two GEMMs on the (N+1, K) kernel weights and one row for E.  The
-    symmetric table F_j(z_i z_l) is built by ``dilation_product`` in block
-    rows of square tiles, off the diagonal for one of (i, l) and (l, i) only:
-    Cauchy entries per ``assemble`` are those tiles plus Phi, Phi^ and L,
+    two GEMMs on the (N+1, K) kernel weights and one row for E.  Cauchy
+    entries per ``assemble`` are those of the table's tiles (the
+    ``dilation_product`` docstring counts them) plus Phi, Phi^ and L,
     4,155,676 at N = 192.  D, H follow from D~, E by two matrix products with
     L = ``basis_matrix_z`` at eps^lam z.  Each kernel is called once, on the
     broadcast (theta_i, eta_ik) arrays of shape (N+1, K), and each
@@ -158,9 +158,10 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
 
     Eliminating U and V gives [I - (A+C+D)E - BH] U* = (A+C+D+B) U0 + F,
     solved by dense LU with partial pivoting.  The condition number is the
-    1-norm estimate LAPACK ``gecon`` takes from the same LU factors; a
-    non-finite matrix or right-hand side, an exact zero pivot or an estimate
-    above ``_COND_LIMIT`` raises ``SingularSystemError``.
+    1-norm estimate LAPACK ``gecon`` takes from the same LU factors and the
+    matrix's 1-norm from ``lange``; a non-finite matrix or right-hand side,
+    an exact zero pivot or an estimate above ``_COND_LIMIT`` raises
+    ``SingularSystemError``.
     """
     n1 = sysm.fvec.shape[0]
     G = np.diag(sysm.a) + sysm.C + sysm.D
@@ -173,12 +174,11 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
     if not np.isfinite(rhs).all():
         raise SingularSystemError("right-hand side has non-finite entries", math.nan)
-    # the 1-norm as np.linalg.norm takes it of a C-ordered M: column sums accumulated row by row
-    anorm = np.abs(M, order="C").sum(axis=0).max()
     # getrf and getrs are what scipy.linalg's LU factor and solve call; called
     # directly getrf reports an exact zero pivot through info rather than a
     # LinAlgWarning, which only a process-wide (not thread-safe) warnings filter could silence
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (M,))
+    getrf, gecon, getrs, lange = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (M,))
+    anorm = lange("1", M)  # before getrf overwrites M
     lu, piv, info = getrf(M, overwrite_a=True)
     if info > 0:
         raise SingularSystemError("reduced collocation matrix is singular", math.inf)

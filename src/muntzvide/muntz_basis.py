@@ -13,9 +13,7 @@ in the tests as a small-N cross-check only.
     * ``interpolate``      - the interpolant of nodal values at any theta;
     * ``basis_matrix_z``   - the table F_j(z_m) at mapped coordinates z;
     * ``dilation_product`` - sum_l W[i, l] F_j(z_i z_l) over the grid's
-      dilation table, which is symmetric in (i, l): it is built in block
-      rows of near-equal height, each a row of square tiles at or past the
-      diagonal, and a tile off the diagonal serves both (i, l) and (l, i).
+      dilation table, built in bounded tiles (its docstring gives the layout).
 
 All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
 points, whose row for a z within ``_SNAP_TOL`` of node k is e_k instead.
@@ -41,10 +39,8 @@ __all__ = [
 # within this distance of a node (in z) the barycentric form is 0/0: the z
 # takes that node's Kronecker row as its Cauchy row instead
 _SNAP_TOL = 1e-15
-# ``dilation_product`` splits the N+1 rows into ceil((N+1) / width) blocks of
-# near-equal size for width = isqrt(_BLOCK_ENTRIES // (N+1)), so that a square
-# tile of two blocks holds at most this many entries of its (block, block, N+1)
-# Cauchy array, which bounds its scratch memory
+# a Cauchy tile of ``dilation_product`` holds at most this many entries, which
+# bounds its scratch memory (its docstring gives the tile layout)
 _BLOCK_ENTRIES = 2**17
 
 
@@ -91,19 +87,15 @@ def _nearest(grid: CollocationGrid, z: np.ndarray):
     return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
-def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None, nearest=None):
-    """R = 1 / (z - z_j), the node nearest each z, and whether z lies within _SNAP_TOL of it.
+def _cauchy(grid: CollocationGrid, z: np.ndarray, near: np.ndarray, snap: np.ndarray, out: np.ndarray):
+    """Write R = 1 / (z - z_j) into ``out`` and return it.
 
-    R has shape ``z.shape + (N+1,)`` and is written into ``out`` when one is
-    given (a C-contiguous array of that shape).  ``nearest`` is ``_nearest``
-    of these z when the caller has it already.  A snapped z (moved off [0, 1]
+    ``out`` is a C-contiguous array of shape ``z.shape + (N+1,)``, and
+    ``near, snap`` are ``_nearest`` of these z.  A snapped z (moved off [0, 1]
     so as not to divide by zero) has its node's Kronecker row e_k as its row,
     so the barycentric form gives F_j = w_j delta_jk / w_k, exactly delta_jk.
     """
     nodes = grid.z_points
-    near, snap = _nearest(grid, z) if nearest is None else nearest
-    if out is None:
-        out = np.empty(z.shape + nodes.shape)
     # z - z_j as one K = 2 product [z, 1] @ [[1 ... 1], [-z_j]]: its products
     # are exact and each entry rounds once, so it is bitwise the subtraction
     lhs = np.empty((snap.size, 2))
@@ -116,7 +108,7 @@ def _cauchy(grid: CollocationGrid, z: np.ndarray, out: np.ndarray | None = None,
     if snap.any():
         out[snap] = 0.0
         out[snap, near[snap]] = 1.0
-    return out, near, snap
+    return out
 
 
 def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
@@ -131,7 +123,7 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     theta spares a caller who knows z exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    cauchy, _, _ = _cauchy(grid, z)
+    cauchy = _cauchy(grid, z, *_nearest(grid, z), np.empty(z.shape + grid.z_points.shape))
     w = grid.bary_weights
     s = cauchy @ w
     cauchy *= w
@@ -146,13 +138,15 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     has its shape; its channels are strided views of one (N+1, c, N+1) array.
     The table F_j(z_i z_l) is symmetric in (i, l), so it is built in block
     rows: the rows fall in ceil((N+1) / width) blocks whose sizes differ by at
-    most one (see ``_BLOCK_ENTRIES``), and block row [a, b) is a row of square
-    tiles, one for each l-block [e, f) with e >= a.  The nearest node and snap
-    flag of its points z_i z_l, l >= a, are found once for the whole block row.
-    A tile's Cauchy array takes its pairs (i, l) directly and, off the
-    diagonal, the same entries transposed as its pairs (l, i); both are
-    batched products w * ((W / S) @ R), with S as in ``basis_matrix_z``, that
-    contract over the tile width and add into whole rows of the (i, c, j) sums.
+    most one, for width = isqrt(``_BLOCK_ENTRIES`` // (N+1)), so that a square
+    tile of two blocks holds at most ``_BLOCK_ENTRIES`` Cauchy entries; block
+    row [a, b) is a row of square tiles, one for each l-block [e, f) with
+    e >= a.  The nearest node and snap flag of its points z_i z_l, l >= a,
+    are found once for the whole block row.  A tile's Cauchy array takes its
+    pairs (i, l) directly and, off the diagonal, the same entries transposed
+    as its pairs (l, i); both are batched products w * ((W / S) @ R), with S
+    as in ``basis_matrix_z``, that contract over the tile width and add into
+    whole rows of the (i, c, j) sums.
     That is n1 (n1^2 + sum |block|^2) / 2 Cauchy entries for n1 = N+1, and all
     (N+1)^3 when one tile holds the whole table (N <= 49).  Every tile is
     built in one scratch buffer; a snapped pair is like any other.  Any other
@@ -176,7 +170,7 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
         for e, f in blocks[r:]:
             cols = slice(e - a, f - a)
             tile = scratch[: (b - a) * (f - e) * n1].reshape(b - a, f - e, n1)
-            cauchy, _, _ = _cauchy(grid, row[:, cols], tile, (near[:, cols], snap[:, cols]))
+            cauchy = _cauchy(grid, row[:, cols], near[:, cols], snap[:, cols], tile)
             inv_s = 1.0 / (cauchy @ w)  # (i, l)
             # pairs (i, l): (i, c, l) @ (i, l, j)
             sums[a:b] += (chan[:, a:b, e:f] * inv_s).transpose(1, 0, 2) @ cauchy
@@ -201,14 +195,14 @@ def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
             f"expected {grid.n + 1} nodal values per channel, got shape {values.shape}"
         )
     theta = np.asarray(theta, dtype=float)
-    # second barycentric form: every channel shares one Cauchy matrix R, and
-    # p = (R @ (w values)) / (R @ w); a snapped point takes v_k itself, which
-    # (w_k v_k) / w_k need not round to
-    cauchy, near, snap = _cauchy(grid, theta.ravel() ** grid.lam)
+    # second barycentric form: every channel (one-channel values are one
+    # column) shares one Cauchy matrix R, and p = (R @ (w values)) / (R @ w);
+    # a snapped point takes v_k itself, which (w_k v_k) / w_k need not round to
+    z = theta.ravel() ** grid.lam
+    near, snap = _nearest(grid, z)
+    cauchy = _cauchy(grid, z, near, snap, np.empty(z.shape + grid.z_points.shape))
     w = grid.bary_weights
-    den = cauchy @ w
-    if values.ndim == 2:
-        w, den = w[:, None], den[:, None]
-    out = (cauchy @ (w * values)) / den
-    out[snap] = values[near[snap]]
+    chan = values.reshape(grid.n + 1, -1)
+    out = (cauchy @ (w[:, None] * chan)) / (cauchy @ w)[:, None]
+    out[snap] = chan[near[snap]]
     return out.reshape(theta.shape + values.shape[1:])

@@ -539,8 +539,9 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
 
 
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
-    # tools/cli_snapshot.py: thirteen default CLI runs over the three modes,
-    # the byte-identity check between two versions of the code
+    # tools/cli_snapshot.py: thirteen default CLI runs over the three modes
+    # and 34 solves' systems and solutions, the byte-identity check between
+    # two versions of the code
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
     spec = importlib.util.spec_from_file_location("cli_snapshot", path)
     tool = importlib.util.module_from_spec(spec)
@@ -555,6 +556,6 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert a == b
     # five files per run; two of the runs that exit 1 write no plot data, and
-    # the run that exits 2 writes no results
-    assert len(a) == 5 * 13 - 2 - 2
+    # the run that exits 2 writes no results; twelve files per solve
+    assert len(a) == 5 * 13 - 2 - 2 + 12 * 34
     assert not any(str(tmp_path).encode() in data for data in a.values())
