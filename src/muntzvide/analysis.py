@@ -176,48 +176,41 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
 
 
 def _true_values(problem, reference, theta) -> np.ndarray:
-    """(phi, phi*) at theta, shape theta.shape + (2,): exact, else from ``reference``."""
-    pair = exact_phi_pair(problem)
-    if pair is not None:
-        return np.stack([sample(fn, theta) for fn in pair], axis=-1)
-    return interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
-
-
-def _error_row(problem, sol, config, reference, runtime_ms, fixed: dict) -> SweepRow:
-    # the L2 nodes and the uniform sup-norm grid depend on N only through the
-    # L2 size m: ``fixed`` keeps them and (phi, phi*) there under m
-    grid = sol.grid
-    m = config.l2_points if config.l2_points is not None else max(4 * grid.n, 200)
-    if m not in fixed:
-        rule = to_fractional(gauss_jacobi(m, config.alpha, config.beta), 1.0)
-        theta = np.concatenate([rule.nodes, _linf_points(config.linf_points)])
-        fixed[m] = rule.weights, theta, _true_values(problem, reference, theta)
-    weights, theta, true = fixed[m]
-    # the sup norm runs over the uniform grid and this solve's own grid points
-    theta = np.concatenate([theta, grid.points])
-    true = np.concatenate([true, _true_values(problem, reference, grid.points)])
-    err = true - interpolate(grid, np.column_stack([sol.u, sol.u_star]), theta)
-    l2 = _l2_norm(weights, err[:m]).tolist()
-    linf = _sup_norm(err[m:]).tolist()
-    return SweepRow(grid.n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
+    """(phi, phi*) at theta, shape theta.shape + (2,): from ``reference`` if given, else exact."""
+    if reference is not None:
+        return interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
+    return np.stack([sample(fn, theta) for fn in exact_phi_pair(problem)], axis=-1)
 
 
 def _check_reference(problem, reference, n: int) -> None:
-    """Errors up to order n need an exact solution, or a reference of higher order."""
-    if exact_phi_pair(problem) is None:
-        if reference is None:
+    """Errors up to order n need a reference of higher order, or else an exact solution."""
+    if reference is None:
+        if exact_phi_pair(problem) is None:
             raise ValueError(
                 f"problem {problem.label or '<anonymous>'} has no exact solution; "
                 "supply a reference solution"
             )
-        if reference.grid.n <= n:
-            raise ValueError(f"reference order {reference.grid.n} must exceed the solve order {n}")
+    elif reference.grid.n <= n:
+        raise ValueError(f"reference order {reference.grid.n} must exceed the solve order {n}")
 
 
 def error_row(problem, sol, config, reference, runtime_ms) -> SweepRow:
-    """Sweep row for ``sol`` against the exact solution, else a ``reference`` of order above its N."""
-    _check_reference(problem, reference, sol.grid.n)
-    return _error_row(problem, sol, config, reference, runtime_ms, {})
+    """Sweep row for ``sol`` against a ``reference`` of order above its N, else the exact solution."""
+    grid = sol.grid
+    _check_reference(problem, reference, grid.n)
+    m = config.l2_points if config.l2_points is not None else max(4 * grid.n, 200)
+    rule = to_fractional(gauss_jacobi(m, config.alpha, config.beta), 1.0)
+    # (phi, phi*) in two calls, at the N-independent points and at this solve's
+    # grid points: one call over all points lets BLAS sum a reference
+    # interpolant in another order, which moves the errors' last digits
+    theta = np.concatenate([rule.nodes, _linf_points(config.linf_points)])
+    true = np.concatenate([_true_values(problem, reference, theta), _true_values(problem, reference, grid.points)])
+    # the sup norm runs over the uniform grid and this solve's own grid points
+    theta = np.concatenate([theta, grid.points])
+    err = true - interpolate(grid, np.column_stack([sol.u, sol.u_star]), theta)
+    l2 = _l2_norm(rule.weights, err[:m]).tolist()
+    linf = _sup_norm(err[m:]).tolist()
+    return SweepRow(grid.n, l2[0], linf[0], l2[1], linf[1], runtime_ms)
 
 
 def convergence_sweep(
@@ -226,7 +219,7 @@ def convergence_sweep(
     n_list,
     reference: Optional[DiscreteSolution] = None,
 ) -> ConvergenceTable:
-    """One solve per N, with errors against the exact solution or a reference.
+    """One solve and one ``error_row`` per N, against a reference if given, else the exact solution.
 
     Every N must be an integer (a bool is not) of at least 1, checked before
     the first solve.  A solve that fails with one of ``SOLVER_ERRORS`` marks
@@ -239,13 +232,10 @@ def convergence_sweep(
         raise ValueError(f"n_list must be nonempty and strictly increasing, got {n_list}")
     _check_reference(problem, reference, max(n_list))
     table = ConvergenceTable()
-    # one cache per call: a reference is interpolated at the N-independent
-    # points once per sweep, and nothing is kept between sweeps
-    fixed: dict = {}
     for n in n_list:
         try:
             _, sol, runtime_ms = solve_once(problem, n, config)
-            row = _error_row(problem, sol, config, reference, runtime_ms, fixed)
+            row = error_row(problem, sol, config, reference, runtime_ms)
         except SOLVER_ERRORS as exc:
             row = SweepRow(n, failed=True, message=str(exc))
         table.rows.append(row)

@@ -1,6 +1,6 @@
 """Config-driven command line front end.
 
-Configs are flat ``key = value`` files with ``#`` comments; the last
+Configs are flat ``key = value`` UTF-8 files with ``#`` comments; the last
 occurrence of a key wins, so ``--set key=value`` overrides, read after the
 file, win over it.  Three modes:
 
@@ -8,6 +8,7 @@ file, win over it.  Three modes:
     sweep    one run per N in a range, measured against the exact solution;
              writes the results CSV plus plot data
     compare  like sweep, but errors are measured against a high-N reference
+             solve at key ``ref_N``, also on a problem with a closed form
 
 The results CSV has the header ``CSV_HEADER``: N, the ``ERROR_CHANNELS`` and
 runtime_ms, with errors in scientific notation at 6 significant digits.  By
@@ -317,9 +318,13 @@ def run(spec: RunSpec) -> int:
         table = convergence_sweep(problem, config, spec.n_values, reference=ref)
 
     _write_csv(table, out, spec.timing)
-    # when every row failed there is nothing to plot; the CSV records the failures
-    if spec.mode != "solve" and not all(r.failed for r in table.rows):
-        emit_plot_data(table, side)
+    # when every row failed there is nothing to plot, and no earlier run's plot
+    # data is left beside the CSV, which records the failures
+    if spec.mode != "solve":
+        if all(r.failed for r in table.rows):
+            side.unlink(missing_ok=True)
+        else:
+            emit_plot_data(table, side)
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
         errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)
@@ -345,8 +350,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -343,10 +343,13 @@ def test_compare_sweep_uses_reference_channels():
 
 
 def four_callable_row(problem, grid, sol, config, reference, n):
-    """The errors as four one-channel callables through the public norms."""
-    pair = exact_phi_pair(problem)
-    if pair is not None:
-        phi_fn, phistar_fn = pair
+    """The errors as four one-channel callables through the public norms.
+
+    The truth is the reference's interpolant when one is given, else the
+    exact solution.
+    """
+    if reference is None:
+        phi_fn, phistar_fn = exact_phi_pair(problem)
     else:
         phi_fn = lambda th: interpolate(reference.grid, reference.u, th)  # noqa: E731
         phistar_fn = lambda th: interpolate(reference.grid, reference.u_star, th)  # noqa: E731
@@ -381,12 +384,12 @@ def test_error_row_matches_four_callable_norms(key, n, lam, ref_n):
     # interpolated value, by a few ulps of the O(1) nodal values
     scale = max(np.abs(sol.u).max(), np.abs(sol.u_star).max())
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
-    # a sweep row (fixed points shared across rows) is the same row
+    # a sweep row (one error_row per N) is the same row
     swept = convergence_sweep(p, config, [n], reference=ref).rows[0]
     assert [swept.l2_e, swept.linf_e, swept.l2_estar, swept.linf_estar] == got
 
 
-def test_sweep_interpolates_reference_at_fixed_points_once(monkeypatch):
+def test_each_sweep_row_interpolates_the_reference_at_its_own_points(monkeypatch):
     import muntzvide.analysis as analysis
 
     calls = []
@@ -402,12 +405,29 @@ def test_sweep_interpolates_reference_at_fixed_points_once(monkeypatch):
     n_list = [4, 6, 8, 10]
     convergence_sweep(p, config, n_list, reference=ref)
     on_ref = [size for grid, _, size in calls if grid is ref.grid]
-    # once at the 200 L2 nodes and 301 sup-norm points, then at each row's grid
-    assert on_ref == [200 + 301] + [n + 1 for n in n_list]
+    # each row on its own: at the 200 L2 nodes and 301 sup-norm points, then
+    # at the row's grid points; nothing is kept between rows
+    assert on_ref == [size for n in n_list for size in (200 + 301, n + 1)]
     # each row evaluates (u, u*) in one two-channel call at all its points
     on_rows = [(shape, size) for grid, shape, size in calls if grid is not ref.grid]
     assert on_rows == [((n + 1, 2), 200 + 301 + n + 1) for n in n_list]
-    # a second sweep evaluates the reference again: nothing is kept between calls
-    calls.clear()
-    convergence_sweep(p, config, n_list[:1], reference=ref)
-    assert [size for grid, _, size in calls if grid is ref.grid] == [200 + 301, 5]
+
+
+def test_a_given_reference_wins_over_the_closed_form():
+    p = make_example("5.1")
+    config = SolverConfig(linf_points=301)
+    ref = reference_solution(p, config, 10)
+    n_list = [4, 6]
+    compared = convergence_sweep(p, config, n_list, reference=ref).rows
+    swept = convergence_sweep(p, config, n_list).rows
+    for n, row, exact_row in zip(n_list, compared, swept):
+        grid, sol, _ = solve_once(p, n, config)
+        got = [row.l2_e, row.linf_e, row.l2_estar, row.linf_estar]
+        # measured against the reference's interpolant, not the exact solution
+        want = four_callable_row(p, grid, sol, config, ref, n)
+        scale = max(np.abs(sol.u).max(), np.abs(sol.u_star).max())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
+        assert got != [exact_row.l2_e, exact_row.linf_e, exact_row.l2_estar, exact_row.linf_estar]
+    # a given reference's order is checked even when a closed form exists
+    with pytest.raises(ValueError, match="reference order 10 must exceed the solve order 10"):
+        convergence_sweep(p, config, [10], reference=ref)

@@ -7,10 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muntzvide.analysis import ERROR_CHANNELS, ConvergenceTable, SolverConfig, SweepRow
+from muntzvide.analysis import (
+    ERROR_CHANNELS,
+    ConvergenceTable,
+    SolverConfig,
+    SweepRow,
+    convergence_sweep,
+    reference_solution,
+)
 from muntzvide.cli import (
     _COEFFS,
     _KERNELS,
+    _write_csv,
     CSV_HEADER,
     MODES,
     ConfigError,
@@ -22,6 +30,7 @@ from muntzvide.cli import (
     run,
 )
 from muntzvide.collocation import SingularSystemError
+from muntzvide.problem import make_example
 
 SWEEP_52 = "problem = 5.2\nlambda = 0.333333333333\nN = 5:13:2\nmode = sweep\n"
 
@@ -273,6 +282,34 @@ def test_run_compare_mode(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_compare_on_a_closed_form_problem_measures_against_the_reference(tmp_path):
+    text = "problem = 5.1\nN = 4:6:2\nlinf_grid = 301\n"
+    cmp_out, sweep_out = tmp_path / "cmp.csv", tmp_path / "sweep.csv"
+    assert run(parse_config(f"mode = compare\n{text}ref_N = 10\noutput = {cmp_out}\n")) == 0
+    assert run(parse_config(f"mode = sweep\n{text}output = {sweep_out}\n")) == 0
+    config = SolverConfig(linf_points=301)
+    p = make_example("5.1")
+    table = convergence_sweep(p, config, [4, 6], reference=reference_solution(p, config, 10))
+    _write_csv(table, tmp_path / "want.csv", timing=False)
+    assert cmp_out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # the sweep measures the same solves against the exact solution
+    assert [line.split(",")[0] for line in sweep_out.read_text().splitlines()] == ["N", "4", "6"]
+    assert sweep_out.read_bytes() != cmp_out.read_bytes()
+
+
+def test_sweep_with_every_row_failed_removes_stale_plot_data(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "results.csv"
+    cfg.write_text(f"problem = 5.1\nN = 4:6:2\nlinf_grid = 301\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert out.with_suffix(".plot.dat").is_file()
+    # the same sweep again, with a grid that collapses at every N
+    assert main(["sweep", "--config", str(cfg), "--set", "lambda=1e-6"]) == 1
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all("nan" in r for r in rows)
+    assert not out.with_suffix(".plot.dat").exists()
+
+
 def test_run_returns_nonzero_on_row_failure(tmp_path, monkeypatch):
     failed_table = ConvergenceTable(
         rows=[
@@ -388,6 +425,17 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "missing required keys" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_config_that_is_not_utf8_is_one_error_line_and_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    out = tmp_path / "none.csv"
+    # one Latin-1 byte in a comment
+    cfg.write_bytes(f"# caf\xe9\nproblem = 5.1\nN = 4\noutput = {out}\n".encode("latin-1"))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+    assert not out.exists()
 
 
 def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
@@ -539,7 +587,7 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
 
 
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
-    # tools/cli_snapshot.py: thirteen default CLI runs over the three modes
+    # tools/cli_snapshot.py: fourteen default CLI runs over the three modes
     # and 34 solves' systems and solutions, the byte-identity check between
     # two versions of the code
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
@@ -552,10 +600,10 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
 
     first, second = tool.snapshot(tmp_path / "a"), tool.snapshot(tmp_path / "b")
     assert first == second
-    assert sorted(first.values()) == [0] * 9 + [1] * 3 + [2]
+    assert sorted(first.values()) == [0] * 10 + [1] * 3 + [2]
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert a == b
     # five files per run; two of the runs that exit 1 write no plot data, and
     # the run that exits 2 writes no results; twelve files per solve
-    assert len(a) == 5 * 13 - 2 - 2 + 12 * 34
+    assert len(a) == 5 * 14 - 2 - 2 + 12 * 34
     assert not any(str(tmp_path).encode() in data for data in a.values())

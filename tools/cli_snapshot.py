@@ -1,4 +1,4 @@
-"""Run thirteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
+"""Run fourteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -45,6 +45,8 @@ RUNS = {
     "solve-5.1": ("solve", "problem = 5.1\nN = 8\n"),
     "sweep-5.1-mu0.25": ("sweep", f"problem = 5.1\n{SWEEP_N}\nmu = 0.25\n"),
     "compare-5.4-mu0.75": ("compare", f"problem = 5.4\n{SWEEP_N}\nmu = 0.75\nref_N = 48\n"),
+    # the evaluation sizes of the benchmark's cli-compare workload
+    "compare-5.4-bench": ("compare", "problem = 5.4\nN = 8:16:8\nl2_quad = 100\nlinf_grid = 401\nref_N = 24\n"),
     "solve-5.4": ("solve", "problem = 5.4\nN = 8\n"),
     "sweep-5.1-alpha400": ("sweep", f"problem = 5.1\n{SWEEP_N}\nalpha = 400\n"),
     "sweep-5.1-lambda1e-6": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1e-6\n"),
