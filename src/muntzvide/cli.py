@@ -1,8 +1,8 @@
 """Config-driven command line front end.
 
-Configs are flat ``key = value`` UTF-8 files with ``#`` comments; the last
-occurrence of a key wins, so ``--set key=value`` overrides, read after the
-file, win over it.  Three modes:
+Configs are flat ``key = value`` UTF-8 files, a leading byte-order mark
+skipped, with ``#`` comments; the last occurrence of a key wins, so
+``--set key=value`` overrides, read after the file, win over it.  Three modes:
 
     solve    one run at a single N; writes the results CSV plus a nodal dump
     sweep    one run per N in a range, measured against the exact solution;
@@ -15,6 +15,8 @@ runtime_ms, with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
 byte-identical files; set ``timing = on`` for wall-clock values.  The nodal
 dump (``.nodes.csv``) or plot data (``.plot.dat``) is written beside the CSV.
+Once the checks below pass, a run removes the CSV and side file an earlier
+run left, so a run that stops on a solver error leaves neither.
 
 Each config key is declared once, on its ``RunSpec`` field, with its parser
 (text to value, syntax only) and any choices.  A frozen ``RunSpec`` checks
@@ -303,6 +305,9 @@ def run(spec: RunSpec) -> int:
             "use compare mode, which measures errors against a reference solve at key 'ref_N'"
         )
     config = SolverConfig(**{name: getattr(spec, name) for name in _SOLVER_FIELDS})
+    # the checks have passed: no earlier run's results outlive a failed solve
+    out.unlink(missing_ok=True)
+    side.unlink(missing_ok=True)
 
     if spec.mode == "solve":
         _, sol, runtime_ms = solve_once(problem, spec.n_values[0], config)
@@ -318,13 +323,8 @@ def run(spec: RunSpec) -> int:
         table = convergence_sweep(problem, config, spec.n_values, reference=ref)
 
     _write_csv(table, out, spec.timing)
-    # when every row failed there is nothing to plot, and no earlier run's plot
-    # data is left beside the CSV, which records the failures
-    if spec.mode != "solve":
-        if all(r.failed for r in table.rows):
-            side.unlink(missing_ok=True)
-        else:
-            emit_plot_data(table, side)
+    if spec.mode != "solve" and not all(r.failed for r in table.rows):
+        emit_plot_data(table, side)
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
         errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

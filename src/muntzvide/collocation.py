@@ -165,10 +165,7 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     """
     n1 = sysm.fvec.shape[0]
     G = np.diag(sysm.a) + sysm.C + sysm.D
-    # M in Fortran order, so that getrf factors it in place
-    M = np.eye(n1, order="F")
-    M -= G @ sysm.E
-    M -= sysm.b[:, None] * sysm.H
+    M = np.eye(n1) - G @ sysm.E - sysm.b[:, None] * sysm.H
     rhs = G @ sysm.u0 + sysm.b * sysm.u0 + sysm.fvec
     if not np.isfinite(M).all():
         raise SingularSystemError("reduced collocation matrix has non-finite entries", math.nan)
@@ -178,15 +175,15 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     # directly getrf reports an exact zero pivot through info rather than a
     # LinAlgWarning, which only a process-wide (not thread-safe) warnings filter could silence
     getrf, gecon, getrs, lange = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (M,))
-    anorm = lange("1", M)  # before getrf overwrites M
-    lu, piv, info = getrf(M, overwrite_a=True)
+    anorm = lange("1", M)
+    lu, piv, info = getrf(M)
     if info > 0:
         raise SingularSystemError("reduced collocation matrix is singular", math.inf)
     rcond, _ = gecon(lu, anorm, norm="1")
     cond = 1.0 / rcond if rcond > 0.0 else math.inf
     if cond > _COND_LIMIT:
         raise SingularSystemError("reduced collocation matrix is ill-conditioned", cond)
-    u_star, _ = getrs(lu, piv, rhs, overwrite_b=True)  # info flags only an illegal argument
+    u_star, _ = getrs(lu, piv, rhs)  # info flags only an illegal argument
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
     return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid, cond=cond)

@@ -310,6 +310,28 @@ def test_sweep_with_every_row_failed_removes_stale_plot_data(tmp_path):
     assert not out.with_suffix(".plot.dat").exists()
 
 
+def test_run_stopped_by_a_solver_error_leaves_no_earlier_results(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "r.csv"
+    for mode, problem, args, side in (
+        ("solve", "5.1", [], "r.nodes.csv"),
+        # the reference solve collapses
+        ("compare", "5.4", ["--set", "N=4:8:2", "--set", "ref_N=16"], "r.plot.dat"),
+    ):
+        cfg.write_text(f"problem = {problem}\nN = 8\noutput = {out}\n")
+        assert main([mode, "--config", str(cfg), *args]) == 0
+        assert out.is_file() and (tmp_path / side).is_file()
+        assert main([mode, "--config", str(cfg), *args, "--set", "lambda=1e-6"]) == 1
+        assert capsys.readouterr().err.startswith("error: grid points collapse")
+        assert not out.exists() and not (tmp_path / side).exists()
+    # a sweep of 5.4, refused before any solve, keeps the compare's results
+    assert main(["compare", "--config", str(cfg), *args]) == 0
+    written = out.read_bytes()
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "no exact solution" in capsys.readouterr().err
+    assert out.read_bytes() == written and (tmp_path / "r.plot.dat").is_file()
+
+
 def test_run_returns_nonzero_on_row_failure(tmp_path, monkeypatch):
     failed_table = ConvergenceTable(
         rows=[
@@ -436,6 +458,14 @@ def test_config_that_is_not_utf8_is_one_error_line_and_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
     assert not out.exists()
+
+
+def test_config_with_a_utf8_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    out = tmp_path / "bom.csv"
+    cfg.write_bytes(b"\xef\xbb\xbf" + f"problem = 5.1\nN = 4\nlinf_grid = 301\noutput = {out}\n".encode())
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert out.read_text().splitlines()[1].startswith("4,")
 
 
 def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
@@ -587,7 +617,7 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
 
 
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
-    # tools/cli_snapshot.py: fourteen default CLI runs over the three modes
+    # tools/cli_snapshot.py: sixteen default CLI runs over the three modes
     # and 34 solves' systems and solutions, the byte-identity check between
     # two versions of the code
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
@@ -600,10 +630,11 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
 
     first, second = tool.snapshot(tmp_path / "a"), tool.snapshot(tmp_path / "b")
     assert first == second
-    assert sorted(first.values()) == [0] * 10 + [1] * 3 + [2]
+    assert sorted(first.values()) == [0] * 10 + [1] * 5 + [2]
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert a == b
-    # five files per run; two of the runs that exit 1 write no plot data, and
-    # the run that exits 2 writes no results; twelve files per solve
-    assert len(a) == 5 * 14 - 2 - 2 + 12 * 34
+    # five files per run; two of the runs that exit 1 write no plot data, two
+    # stop on a solver error and, like the run that exits 2, write no results;
+    # twelve files per solve
+    assert len(a) == 5 * 16 - 2 - 2 * 2 - 2 + 12 * 34
     assert not any(str(tmp_path).encode() in data for data in a.values())

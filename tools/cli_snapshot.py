@@ -1,4 +1,4 @@
-"""Run fourteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
+"""Run sixteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -31,11 +31,13 @@ from muntzvide import assemble, build_grid, cli, default_lambda, make_example, s
 
 SWEEP_N = "N = 4:16:2"
 
-# name -> (mode, config text); every run but the last four exits 0.  Three
+# name -> (mode, config text); every run but the last six exits 0.  Five
 # exit 1: at alpha = 400 every row fails at its 200-point L2 rule, and at
 # lambda = 1e-6 every row's grid collapses, so neither writes plot data; at
-# lambda = 1/128 the grid collapses from N = 14 on, so rows 4-12 are plotted.
-# The last exits 2 before any solve (lambda = 1.5 is outside (0, 1]).
+# lambda = 1/128 the grid collapses from N = 14 on, so rows 4-12 are plotted;
+# at lambda = 1e-6 the solve's grid and the compare's reference grid collapse,
+# so each prints one error line and writes no file.  The last exits 2 before
+# any solve (lambda = 1.5 is outside (0, 1]).
 RUNS = {
     "sweep-5.1": ("sweep", f"problem = 5.1\n{SWEEP_N}\n"),
     "sweep-5.2": ("sweep", f"problem = 5.2\n{SWEEP_N}\n"),
@@ -51,6 +53,8 @@ RUNS = {
     "sweep-5.1-alpha400": ("sweep", f"problem = 5.1\n{SWEEP_N}\nalpha = 400\n"),
     "sweep-5.1-lambda1e-6": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1e-6\n"),
     "sweep-5.1-lambda1over128": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 0.0078125\n"),
+    "solve-5.1-lambda1e-6": ("solve", "problem = 5.1\nN = 8\nlambda = 1e-6\n"),
+    "compare-5.4-lambda1e-6": ("compare", "problem = 5.4\nN = 4:8:2\nref_N = 16\nlambda = 1e-6\n"),
     "sweep-5.1-lambda1.5": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1.5\n"),
 }
 
