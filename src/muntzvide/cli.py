@@ -13,10 +13,10 @@ skipped, with ``#`` comments; the last occurrence of a key wins, so
 The results CSV has the header ``CSV_HEADER``: N, the ``ERROR_CHANNELS`` and
 runtime_ms, with errors in scientific notation at 6 significant digits.  By
 default the runtime column is written as zero so identical configs produce
-byte-identical files; set ``timing = on`` for wall-clock values.  The nodal
-dump (``.nodes.csv``) or plot data (``.plot.dat``) is written beside the CSV.
-Once the checks below pass, a run removes the CSV and side file an earlier
-run left, so a run that stops on a solver error leaves neither.
+byte-identical files; set ``timing = on`` for wall-clock values.  Beside the
+CSV, solve writes a nodal dump (``.nodes.csv``), sweep and compare plot data
+(``.plot.dat``).  Once the checks below pass, a run removes all three, whatever
+its mode, so no earlier run's file outlives a solver error or another mode.
 
 Each config key is declared once, on its ``RunSpec`` field, with its parser
 (text to value, syntax only) and any choices.  A frozen ``RunSpec`` checks
@@ -28,8 +28,8 @@ the ``ConfigError``: ``lambda``, ``alpha``, ``beta``, ``linf_grid`` and
 Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
 ``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
 CSV), 2 for a configuration error or an output file that cannot be written.
-A missing or unwritable output directory, or a directory at the CSV or at
-the file beside it, is reported before any solve.
+A missing or unwritable output directory, or a directory at any of the
+three names, is reported before any solve.
 """
 
 from __future__ import annotations
@@ -288,16 +288,15 @@ def _write_nodal_dump(sol, path: Path) -> None:
 def run(spec: RunSpec) -> int:
     """Execute a run spec; returns the process exit status."""
     out = Path(spec.output)
-    # checked before any solve, so an unwritable output costs no run
-    if out.is_dir():
-        raise ConfigError(f"cannot write output {spec.output!r}: it is a directory")
+    nodes, plot = (out.parent / (out.stem + suffix) for suffix in (".nodes.csv", ".plot.dat"))
+    # one output set whatever the mode, checked before any solve: an unwritable output costs no run
+    for path in (out, nodes, plot):
+        if path.is_dir():
+            raise ConfigError(f"cannot write output {str(path)!r}: it is a directory")
     if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
         raise ConfigError(
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
         )
-    side = out.with_suffix(".nodes.csv" if spec.mode == "solve" else ".plot.dat")
-    if side.is_dir():
-        raise ConfigError(f"cannot write side file {str(side)!r}: it is a directory")
     problem = build_problem(spec)
     if spec.mode == "sweep" and exact_phi_pair(problem) is None:
         raise ConfigError(
@@ -306,8 +305,8 @@ def run(spec: RunSpec) -> int:
         )
     config = SolverConfig(**{name: getattr(spec, name) for name in _SOLVER_FIELDS})
     # the checks have passed: no earlier run's results outlive a failed solve
-    out.unlink(missing_ok=True)
-    side.unlink(missing_ok=True)
+    for path in (out, nodes, plot):
+        path.unlink(missing_ok=True)
 
     if spec.mode == "solve":
         _, sol, runtime_ms = solve_once(problem, spec.n_values[0], config)
@@ -317,14 +316,14 @@ def run(spec: RunSpec) -> int:
             # no exact solution to measure against in solve mode
             row = SweepRow(sol.grid.n, runtime_ms=runtime_ms)
         table = ConvergenceTable(rows=[row])
-        _write_nodal_dump(sol, side)
+        _write_nodal_dump(sol, nodes)
     else:
         ref = reference_solution(problem, config, spec.ref_n) if spec.mode == "compare" else None
         table = convergence_sweep(problem, config, spec.n_values, reference=ref)
 
     _write_csv(table, out, spec.timing)
     if spec.mode != "solve" and not all(r.failed for r in table.rows):
-        emit_plot_data(table, side)
+        emit_plot_data(table, plot)
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
         errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)

@@ -332,6 +332,28 @@ def test_run_stopped_by_a_solver_error_leaves_no_earlier_results(tmp_path, capsy
     assert out.read_bytes() == written and (tmp_path / "r.plot.dat").is_file()
 
 
+def test_every_mode_clears_the_same_output_set(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = 5.1\nN = 4:8:2\noutput = {tmp_path / 'r.csv'}\n")
+
+    def after(first, then, status=0):
+        """The files left by run ``first`` and then run ``then``, which exits with ``status``."""
+        assert main([*first, "--config", str(cfg)]) == 0
+        assert main([*then, "--config", str(cfg)]) == status
+        capsys.readouterr()
+        names = sorted(p.name for p in tmp_path.iterdir() if p != cfg)
+        for name in names:
+            (tmp_path / name).unlink()
+        return names
+
+    solve = ["solve", "--set", "N=8"]
+    # a solve that fails clears the sweep's plot data too
+    assert after(["sweep"], [*solve, "--set", "lambda=1e-6"], status=1) == []
+    assert after(["sweep"], solve) == ["r.csv", "r.nodes.csv"]
+    assert after(solve, ["sweep"]) == ["r.csv", "r.plot.dat"]
+    assert after(solve, ["compare", "--set", "ref_N=16"]) == ["r.csv", "r.plot.dat"]
+
+
 def test_run_returns_nonzero_on_row_failure(tmp_path, monkeypatch):
     failed_table = ConvergenceTable(
         rows=[
@@ -548,26 +570,29 @@ def test_unwritable_output_is_rejected_before_any_solve(tmp_path, capsys, monkey
     counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
     monkeypatch.setattr(cli, "solve_once", counted)
     monkeypatch.setattr(analysis, "solve_once", counted)
-    # an output, or the file its mode writes beside it, that is a directory
-    taken = ["taken.csv", "r.plot.dat", "r.nodes.csv"]
-    for name in taken:
-        (tmp_path / name).mkdir()
+    # a directory at the output or at either file of its set refuses every mode
     cfg = tmp_path / "run.cfg"
-    for output, reason, modes in (
-        ("missing/x.csv", "missing", MODES),
-        ("taken.csv", "is a directory", MODES),
-        ("r.csv", "r.plot.dat': it is a directory", ("sweep", "compare")),
-        ("r.csv", "r.nodes.csv': it is a directory", ("solve",)),
+    for output, taken, reason in (
+        ("missing/x.csv", None, "missing"),
+        ("taken.csv", "taken.csv", "taken.csv': it is a directory"),
+        # a name-less output is refused as a directory, not by how side names are made
+        ("/", None, "'/': it is a directory"),
+        ("r.csv", "r.plot.dat", "r.plot.dat': it is a directory"),
+        ("r.csv", "r.nodes.csv", "r.nodes.csv': it is a directory"),
     ):
+        if taken:
+            (tmp_path / taken).mkdir()
         cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / output}\n")
-        for mode in modes:
+        for mode in MODES:
             ref = ["--set", "ref_N=8"] if mode == "compare" else []
             assert main([mode, "--config", str(cfg), *ref]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+        if taken:
+            assert list((tmp_path / taken).iterdir()) == []
+            (tmp_path / taken).rmdir()
     assert calls == []
-    assert not (tmp_path / "r.csv").exists()
-    assert all(list((tmp_path / name).iterdir()) == [] for name in taken)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_sweep_without_closed_form_points_to_compare(tmp_path, capsys, monkeypatch):

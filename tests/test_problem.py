@@ -20,7 +20,7 @@ from muntzvide import (
     singular_integral,
     solve_once,
 )
-from muntzvide.problem import sample
+from muntzvide.problem import _dyadic_rule, sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -265,6 +265,14 @@ def test_singular_integral_takes_arrays():
     for idx, tk in np.ndenumerate(t):
         assert got[idx] == pytest.approx(tk * singular_integral(tk, lambda s: s, 0.5), rel=1e-15)
     np.testing.assert_allclose(got, beta(2.0, 0.5) * t**2.5, rtol=1e-13)
+
+
+def test_cached_dyadic_rule_is_read_only():
+    # the rule is cached per mu, so a write would reach every later integral
+    for arr in _dyadic_rule(0.5):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert singular_integral(1.0, lambda s: 1.0, 0.5) == pytest.approx(2.0, rel=1e-14)
 
 
 # --- manufactured forcing -------------------------------------------------------
