@@ -149,20 +149,12 @@ def weighted_l2_error(
     return float(_l2_norm(rule.weights, sample(err_fn, rule.nodes)))
 
 
-def linf_error(
-    err_fn: Callable[[np.ndarray], np.ndarray],
-    grid_size: int = SolverConfig.linf_points,
-    extra_points=None,
-) -> float:
-    """Max |err_fn| over a uniform grid on [~0, 1], plus any extra points.
+def linf_error(err_fn: Callable[[np.ndarray], np.ndarray], grid_size: int = SolverConfig.linf_points) -> float:
+    """Max |err_fn| over ``grid_size`` uniform points on [~0, 1], in one call of ``err_fn``.
 
-    ``err_fn`` is called once, on the array of all points; a NaN anywhere
-    makes the result NaN.
+    A NaN anywhere makes the result NaN.
     """
-    pts = _linf_points(grid_size)
-    if extra_points is not None:
-        pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
-    return float(_sup_norm(sample(err_fn, pts)))
+    return float(_sup_norm(sample(err_fn, _linf_points(grid_size))))
 
 
 def solve_once(problem: VideProblem, n: int, config: SolverConfig):

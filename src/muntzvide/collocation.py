@@ -124,15 +124,15 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     weights set the peak: tracemalloc reads 1.6 / 2.8 / 4.6 / 18.1 MiB on 5.4
     at N = 128 / 192 / 256 / 512.
     An extreme grid exponent (beta = 300) crowds the nodes and the basis
-    overflows far from them: basis and table run without numpy warnings, the
-    problem's callables outside that, and ``solve`` names the non-finite system.
+    overflows far from them: the basis kernels run without numpy warnings, the
+    problem's callables under the caller's, and ``solve`` names the non-finite system.
     """
     theta = grid.points
     # W is an argument, so it dies with the table call
-    C, Dt, E = _quiet(dilation_product, grid, _table_weights(scaled, grid, theta))
+    C, Dt, E = dilation_product(grid, _table_weights(scaled, grid, theta))
     E *= (theta / grid.lam)[:, None]
     # L[l, j] = F_j(eps^lam z_l) moves rows to the delayed points
-    L = _quiet(basis_matrix_z, grid, scaled.eps**grid.lam * grid.z_points)
+    L = basis_matrix_z(grid, scaled.eps**grid.lam * grid.z_points)
     D = Dt @ L
     H = E @ L
     H *= scaled.eps
@@ -157,19 +157,13 @@ def _table_weights(scaled: ScaledProblem, grid: CollocationGrid, theta: np.ndarr
     # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
     # endpoint-stable singular ratio, times the rule weight
     fac = (ti ** (1.0 - mu) / lam) * singular_ratio(xi, lam, mu) * om
-    phi = _quiet(basis_matrix_z, grid, xi)
+    phi = basis_matrix_z(grid, xi)
     W = np.empty((3, theta.size, n1))
     for w, kbar in zip(W, (scaled.kbar1, scaled.kbar2)):
         np.matmul(fac * kbar(ti, eta), phi, out=w)
     # Phi^ is built after the kernel calls, so it is never live beside their values
-    W[2] = quad_hat.weights @ _quiet(basis_matrix_z, grid, quad_hat.z_nodes)
+    W[2] = quad_hat.weights @ basis_matrix_z(grid, quad_hat.z_nodes)
     return W
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _quiet(fn, *args):
-    """``fn(*args)`` without numpy's divide, invalid and overflow warnings; ``args`` keep them."""
-    return fn(*args)
 
 
 def solve(sysm: SystemMatrices) -> DiscreteSolution:

@@ -660,6 +660,7 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
     assert a == b
     # five files per run; two of the runs that exit 1 write no plot data, two
     # stop on a solver error and, like the run that exits 2, write no results;
-    # twelve files per solve
-    assert len(a) == 5 * 16 - 2 - 2 * 2 - 2 + 12 * 34
+    # twelve files per solve; and the tree's one environment file
+    assert len(a) == 5 * 16 - 2 - 2 * 2 - 2 + 12 * 34 + 1
+    assert a["environment"] == tool.environment_text().encode()
     assert not any(str(tmp_path).encode() in data for data in a.values())

@@ -18,6 +18,7 @@ from muntzvide import (
     gauss_jacobi,
     interpolate,
     make_example,
+    manufactured_forcing,
     scale_to_unit,
     singular_integral,
     singular_ratio,
@@ -383,6 +384,48 @@ def test_nodal_accuracy_example_51():
     err_star = max(abs(sol.u_star[i] - phip(t)) for i, t in enumerate(grid.points))
     assert err <= 1e-11
     assert err_star <= 1e-11
+
+
+def all_terms_problem():
+    """A problem with every term live and f1 manufactured from its exact y.
+
+    It has y0 != 0, a1 and b1 of t, kernels of both t and s and T != 1; its
+    y = y0 + t^(3/2) e^-t lies on lam = 1/2's lattice.
+    """
+    y0 = 1.5
+    skeleton = VideProblem(
+        a1=lambda t: np.cos(t) - 1.0,
+        b1=lambda t: np.exp(-t) + 0.5,
+        f1=lambda t: 0.0,
+        k1=lambda t, s: -(1.0 + np.sin(t * s)) / 3.0,
+        k2=lambda t, s: np.cos(t + s) / 4.0,
+        mu=0.5,
+        eps=0.5,
+        T=2.0,
+        y0=y0,
+    )
+
+    def y(t):
+        return y0 + t**1.5 * np.exp(-t)
+
+    def yp(t):
+        return np.exp(-t) * (1.5 * np.sqrt(t) - t**1.5)
+
+    f1 = manufactured_forcing(y, yp, skeleton)
+    return dataclasses.replace(skeleton, f1=f1, exact=y, exact_deriv=yp, label="all-terms")
+
+
+def test_all_terms_problem_converges_to_its_exact_solution():
+    # the registry problems leave terms unchecked against a truth outside the
+    # solver (5.1-5.3 have y0 = 0, constant a1 and b1 and kernels of s alone;
+    # 5.4 has no closed form): dropping b u0 from solve's right-hand side, or
+    # a missing T or eps in scale_to_unit's b_t, kbar1 or kbar2, leaves a sup
+    # error of 0.18-1.6 here at N = 16
+    rows = convergence_sweep(all_terms_problem(), SolverConfig(), range(4, 17, 2)).rows
+    assert not any(r.failed for r in rows)
+    linf_e = [r.linf_e for r in rows]
+    assert all(b < a for a, b in zip(linf_e, linf_e[1:]))
+    assert rows[-1].linf_e <= 1e-10 and rows[-1].linf_estar <= 1e-10
 
 
 # --- evaluation -----------------------------------------------------------------

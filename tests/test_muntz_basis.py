@@ -312,14 +312,15 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     rows = rowwise_dilation(grid, W)
     np.testing.assert_allclose(got, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
     assert got.shape == (2, 3, 3)
-    assert muntz_basis.dilation_product(grid, W[0]).shape == (3, 3)
+    assert muntz_basis.dilation_product(grid, W[:1]).shape == (1, 3, 3)
 
 
-@pytest.mark.parametrize("shape", [(5, 2, 5), (50,), (2, 25)])
+@pytest.mark.parametrize("shape", [(5, 2, 5), (50,), (2, 25), (5, 5)])
 def test_dilation_product_rejects_other_shapes(shape):
-    # each has a multiple of (N+1)^2 entries, which a reshape would accept
+    # each has a multiple of (N+1)^2 entries, which a reshape would accept; a
+    # single (N+1, N+1) channel is a stack of one, shape (1, N+1, N+1)
     grid = build_grid(4, -0.5, -0.5, 0.5)
-    with pytest.raises(ValueError, match=r"expected W of shape \(5, 5\) or \(c, 5, 5\)"):
+    with pytest.raises(ValueError, match=r"expected W of shape \(c, 5, 5\), got \("):
         muntz_basis.dilation_product(grid, np.ones(shape))
 
 

@@ -19,10 +19,18 @@ from muntzvide import (
     SOLVER_ERRORS,
     QuadratureError,
     SolverConfig,
+    basis_matrix_z,
     build_grid,
+    collocation,
     convergence_sweep,
+    default_lambda,
+    dilation_product,
+    gauss_jacobi,
+    interpolate,
     make_example,
+    scale_to_unit,
     solve_once,
+    to_fractional,
 )
 
 
@@ -79,6 +87,23 @@ def test_extreme_beta_fails_by_name():
     # warning before it (warnings are errors here)
     (row,) = convergence_sweep(make_example("5.1"), SolverConfig(beta=300.0), [14]).rows
     assert row.failed and "non-finite entries" in row.message
+
+
+@pytest.mark.filterwarnings("error")
+def test_basis_kernels_own_their_warning_policy():
+    # the same grid, with assemble's kernel calls made directly: the two
+    # tabulating kernels return their non-finite tables with no numpy warning
+    # of any kind, while interpolate keeps the caller's error state
+    p = make_example("5.1")
+    scaled, lam = scale_to_unit(p), default_lambda(p.mu)
+    grid = build_grid(14, -0.5, 300.0, lam)
+    xi = to_fractional(gauss_jacobi(15, -scaled.mu, 1.0 / lam - 1.0), lam).z_nodes
+    phi = basis_matrix_z(grid, xi)
+    table = dilation_product(grid, collocation._table_weights(scaled, grid, grid.points))
+    assert phi.shape == (15, 15) and not np.isfinite(phi).all()
+    assert table.shape == (3, 15, 15) and not np.isfinite(table).all()
+    with pytest.warns(RuntimeWarning, match="encountered in divide"):
+        interpolate(grid, np.ones(15), xi ** (1.0 / lam))
 
 
 def test_mu_near_one_passes_the_oracle_gate():

@@ -9,23 +9,30 @@ its exit status in ``exit_status``.  The CSVs have the runtime column zeroed.
 Each solve gets the directory OUTDIR/solver/<case>, holding its system
 (a, b, C, D, E, H, fvec, u0) and solution (u, u_star, v) as ``.npy`` files
 and its condition estimate in ``cond.txt`` to 11 significant digits, which
-hides the last-ulp wobble ``cond`` can show between processes.  So two trees
-made from the same code are identical, and two trees made from two versions
-differ exactly where the default CLI outputs or the solver's bits do: run the
-script once with PYTHONPATH pointing at each version's ``src`` and compare
-the trees with ``diff -r``.  It uses numpy, the standard library and
-``muntzvide`` only.
+hides the last-ulp wobble ``cond`` can show between processes.
+OUTDIR/environment names the numeric environment the tree was made in: the
+numpy and scipy versions and the BLAS thread settings (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``, each ``unset`` when not set), since
+the solver's bits at N >= 128 depend on the BLAS thread count.  So two trees
+made from the same code in the same environment are identical, and two trees
+made from two versions differ exactly where the default CLI outputs or the
+solver's bits do: run the script once with PYTHONPATH pointing at each
+version's ``src``, under the same settings (for example
+``OPENBLAS_NUM_THREADS=1``), and compare the trees with ``diff -r``.  It uses
+numpy, scipy, the standard library and ``muntzvide`` only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from muntzvide import assemble, build_grid, cli, default_lambda, make_example, scale_to_unit, solve
 
@@ -76,6 +83,14 @@ SOLVES = {
 }
 SYSTEM_FIELDS = ("a", "b", "C", "D", "E", "H", "fvec", "u0")
 SOLUTION_FIELDS = ("u", "u_star", "v")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment_text() -> str:
+    """The numpy and scipy versions and the BLAS thread settings, one per line."""
+    lines = [f"numpy {np.__version__}", f"scipy {scipy.__version__}"]
+    lines += [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
+    return "\n".join(lines) + "\n"
 
 
 def solver_snapshot(outdir) -> None:
@@ -94,7 +109,7 @@ def solver_snapshot(outdir) -> None:
 
 
 def snapshot(outdir) -> dict[str, int]:
-    """Write every run of ``RUNS`` and, under ``solver``, every solve of ``SOLVES``.
+    """Write every run of ``RUNS``, under ``solver`` every solve of ``SOLVES``, and ``environment``.
 
     Returns each CLI run's exit status.
     """
@@ -114,6 +129,7 @@ def snapshot(outdir) -> dict[str, int]:
                 (run_dir / stream).write_text(buffer.getvalue().replace(str(run_dir), "<run>"))
             (run_dir / "exit_status").write_text(f"{statuses[name]}\n")
     solver_snapshot(outdir / "solver")
+    (outdir / "environment").write_text(environment_text())
     return statuses
 
 
