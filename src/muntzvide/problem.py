@@ -15,8 +15,10 @@ powers shown in ``ScaledProblem``.
 A registry of four benchmark problems is provided.  Three of them have
 closed-form solutions; their forcing functions are *manufactured*: f1 is
 recovered from the exact solution by evaluating the two weakly singular
-integrals with a pair of independent quadrature oracles that cross-check each
-other on every call.  (Closed-form forcings for these benchmarks circulate
+integrals with a mapped Gauss-Jacobi rule, and every call checks each value
+against one independent oracle: for these three, the integrals' closed-form
+Beta sums; for any other manufactured forcing, a dyadic-panel rule.
+(Closed-form forcings for these benchmarks circulate
 with sign/typo variants; the printed variants are kept available under
 ``forcing="printed"`` for comparison runs, but the manufactured forcing is
 authoritative.)
@@ -62,7 +64,7 @@ KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class OracleDisagreement(RuntimeError):
-    """The two independent singular-integral oracles disagree."""
+    """A manufactured forcing's quadrature value fails its oracle check."""
 
 
 def sample(fn: ArrayFn, x) -> np.ndarray:
@@ -176,14 +178,15 @@ def default_lambda(mu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weakly singular integral oracles
+# weakly singular integral rules
 # ---------------------------------------------------------------------------
 #
-# Both oracles are fixed rules (u_k, W_k) on [0, 1]: substituting s = t*u,
+# Both rules are fixed rules (u_k, W_k) on [0, 1]: substituting s = t*u,
 #     int_0^t (t-s)^(-mu) g(s) ds = t^(1-mu) * sum_k W_k g(t u_k).
 
 # panel levels of the dyadic rule, size of the mapped Gauss-Jacobi rule, and
-# the oracles' largest accepted difference (relative above an integral of 1)
+# the largest accepted difference between a forcing's mapped-rule integral and
+# its oracle (relative above an integral of 1)
 _DYADIC_LEVELS = 50
 _ORACLE_POINTS = 200
 _ORACLE_TOL = 1e-9
@@ -241,25 +244,34 @@ def singular_integral(t, g: ArrayFn, mu: float):
     return _apply_rule(_dyadic_rule(mu), t, g, mu)
 
 
-def manufactured_forcing(y: ArrayFn, y_prime: ArrayFn, skeleton: VideProblem) -> ArrayFn:
+def manufactured_forcing(
+    y: ArrayFn,
+    y_prime: ArrayFn,
+    skeleton: VideProblem,
+    exact_integrals: Optional[tuple[ArrayFn, ArrayFn]] = None,
+) -> ArrayFn:
     """Forcing f1 that makes ``y`` the exact solution of ``skeleton``.
 
     Rearranges the equation: f1 = y' - a1 y - b1 y(eps t) - (K1 y) - (K2 y).
-    Each weakly singular integral is evaluated at all t at once, by the
-    mapped Gauss-Jacobi rule and by the dyadic-panel rule; unless they agree
-    at every t to ``_ORACLE_TOL`` = 1e-9 times max(1, |I|), with I the
-    dyadic-panel value (1e-9 absolute where |I| <= 1, relative above it; a
+    Each weakly singular integral is evaluated at all t at once by the
+    mapped Gauss-Jacobi rule, which gives the value, and by one oracle that
+    checks it: ``exact_integrals``, a pair of callables giving (K1 y)(t) and
+    (K2 y)(t) exactly, or the dyadic-panel rule when it is None.  Unless the
+    two agree at every t to ``_ORACLE_TOL`` = 1e-9 times max(1, |I|), with I
+    the oracle's value (1e-9 absolute where |I| <= 1, relative above it; a
     NaN never agrees), ``OracleDisagreement`` names the first t that fails.
     """
     mu, eps = skeleton.mu, skeleton.eps
     mapped = _mapped_rule(mu)
+    oracles = exact_integrals or (None, None)
 
     def f1(t):
         t = np.asarray(t, dtype=float)
         total = y_prime(t) - skeleton.a1(t) * y(t) - skeleton.b1(t) * y(eps * t)
-        for horizon, kernel in ((t, skeleton.k1), (eps * t, skeleton.k2)):
+        for horizon, kernel, exact in zip((t, eps * t), (skeleton.k1, skeleton.k2), oracles):
             g = lambda s: kernel(t[..., None], s) * y(s)  # noqa: E731
-            i, i_alt = _apply_rule(mapped, horizon, g, mu), singular_integral(horizon, g, mu)
+            i = _apply_rule(mapped, horizon, g, mu)
+            i_alt = singular_integral(horizon, g, mu) if exact is None else exact(t)
             tol = _ORACLE_TOL * np.maximum(1.0, np.abs(i_alt))
             bad = np.flatnonzero(~(np.abs(i - i_alt) <= tol))
             if bad.size:
@@ -303,12 +315,28 @@ def scaled_residual(scaled: ScaledProblem, phi: ArrayFn, phi_prime: ArrayFn, the
 FORCINGS = ("corrected", "printed")
 
 
+def _power_integrals(terms, mu: float, eps: float) -> tuple[ArrayFn, ArrayFn]:
+    """The exact memory integrals of 5.1-5.3, whose g(s) y(s) is sum c s^p over ``terms``.
+
+    int_0^h (h-s)^(-mu) s^p ds = B(1-mu, p+1) h^(p+1-mu), with h = t for
+    K1 = -g and h = eps t for K2 = g; both are 0 where t <= 0.
+    """
+    scaled = [(c * beta(1.0 - mu, p + 1.0), p + 1.0 - mu) for c, p in terms]
+
+    def integral(h):
+        h = np.maximum(h, 0.0)
+        return sum(c * h**q for c, q in scaled)
+
+    return (lambda t: -integral(t)), (lambda t: integral(eps * t))
+
+
 def _manufactured(
     label: str,
     g: ArrayFn,
     y: ArrayFn,
     yp: ArrayFn,
     printed: ArrayFn,
+    terms,
     mu: float,
     eps: float,
     T: float,
@@ -316,7 +344,9 @@ def _manufactured(
 ) -> VideProblem:
     """The equation shared by 5.1-5.3: a1 = -1, b1 = 1, K1 = -g(s), K2 = g(s), y0 = 0.
 
-    Its f1 is ``printed``, or manufactured from the exact solution (y, yp).
+    Its f1 is ``printed``, or manufactured from the exact solution (y, yp)
+    and checked against the closed-form integrals of g(s) y(s) = sum c s^p
+    over the (c, p) ``terms``.
     """
     if forcing not in FORCINGS:
         raise ValueError(f"forcing must be one of {FORCINGS}, got {forcing!r}")
@@ -334,7 +364,10 @@ def _manufactured(
         exact_deriv=yp,
         label=label,
     )
-    return problem if forcing == "printed" else replace(problem, f1=manufactured_forcing(y, yp, problem))
+    if forcing == "printed":
+        return problem
+    exact_integrals = _power_integrals(terms, mu, eps)
+    return replace(problem, f1=manufactured_forcing(y, yp, problem, exact_integrals))
 
 
 def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:
@@ -356,7 +389,7 @@ def _example_5_1(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
             - y(eps * t)
         )
 
-    return _manufactured("5.1", lambda s: np.exp(s**om), y, yp, printed, mu, eps, T, forcing)
+    return _manufactured("5.1", lambda s: np.exp(s**om), y, yp, printed, [(1.0, 1.0)], mu, eps, T, forcing)
 
 
 def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcing: str = "corrected") -> VideProblem:
@@ -375,7 +408,7 @@ def _example_5_2(mu: float = 1.0 / 3.0, eps: float = 0.6, T: float = 0.5, forcin
             - y(eps * t)
         )
 
-    return _manufactured("5.2", np.exp, y, yp, printed, mu, eps, T, forcing)
+    return _manufactured("5.2", np.exp, y, yp, printed, [(1.0, 2.0 - mu)], mu, eps, T, forcing)
 
 
 def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str = "corrected") -> VideProblem:
@@ -398,7 +431,8 @@ def _example_5_3(mu: float = 0.5, eps: float = 0.5, T: float = 1.0, forcing: str
             - beta(1.0 - mu, w2 + 2.0) * t ** (2.0 - mu + w2) * (math.e ** (2.0 - mu + w2) + 1.0)
         )
 
-    return _manufactured("5.3", np.exp, y, yp, printed, mu, eps, T, forcing)
+    terms = [(1.0, 1.0 + w1), (1.0, 1.0 + w2)]
+    return _manufactured("5.3", np.exp, y, yp, printed, terms, mu, eps, T, forcing)
 
 
 def _example_5_4(mu: float = 0.5, eps: float = 0.5, T: float = 0.5, y0: float = 3.0) -> VideProblem:

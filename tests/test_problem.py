@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from muntzvide import (
     singular_integral,
     solve_once,
 )
-from muntzvide.problem import _dyadic_rule, sample
+from muntzvide import problem
+from muntzvide.problem import _apply_rule, _dyadic_rule, _mapped_rule, sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -315,24 +317,102 @@ def test_manufactured_constant_solution():
         assert f1(t) == 0.0
 
 
-def test_oracle_disagreement_raises():
-    # a jump at s = 0.15 defeats both oracles differently: they differ by
-    # 1.3e-3 at t = 0.2 and 1.6e-2 at t = 0.5, and agree (both 0) before it
+@pytest.fixture
+def dyadic_calls(monkeypatch):
+    """The argument tuples of every later call to ``singular_integral``."""
+    calls, real = [], problem.singular_integral
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(problem, "singular_integral", counted)
+    return calls
+
+
+@pytest.fixture
+def registry_oracles(monkeypatch):
+    """build(key, scale=1, **overrides): a registry problem and its closed-form pair.
+
+    The pair is the one ``_manufactured`` built for the problem's forcing,
+    with the first (c, p) term's c multiplied by ``scale`` beforehand.
+    """
+    real, built, state = problem._power_integrals, [], {}
+
+    def spy(terms, mu, eps):
+        (c, p), *rest = terms
+        built.append(real([(state["scale"] * c, p), *rest], mu, eps))
+        return built[-1]
+
+    monkeypatch.setattr(problem, "_power_integrals", spy)
+
+    def build(key, scale=1.0, **overrides):
+        state["scale"] = scale
+        return make_example(key, **overrides), built[-1]
+
+    return build
+
+
+def test_oracle_disagreement_raises(dyadic_calls):
+    # a jump at s = 0.15 defeats both rules differently: they differ by
+    # 1.3e-3 at t = 0.2 and 1.6e-2 at t = 0.5, and agree (both 0) before it;
+    # no closed form is given, so the dyadic rule is the oracle
     f1 = manufactured_forcing(lambda t: np.where(t < 0.15, 0.0, 1.0), lambda t: 0.0, make_example("5.1"))
     assert f1(0.1) == 0.0
+    assert len(dyadic_calls) == 2
     with pytest.raises(OracleDisagreement, match="t=0.5"):
         f1(0.5)
     with pytest.raises(OracleDisagreement, match="t=0.2"):
         f1(np.array([0.2, 0.5]))
 
 
-def test_oracle_gate_rejects_nan():
-    # sqrt(s - 0.3) is NaN on [0, 0.3): both oracles return NaN at t = 0.8
+def test_oracle_gate_rejects_nan(dyadic_calls):
+    # sqrt(s - 0.3) is NaN on [0, 0.3): both rules return NaN at t = 0.8
     f1 = manufactured_forcing(
         lambda t: np.sqrt(t - 0.3), lambda t: 0.5 / np.sqrt(t - 0.3), make_example("5.1")
     )
     with np.errstate(invalid="ignore"), pytest.raises(OracleDisagreement, match="t=0.8"):
         f1(0.8)
+    assert len(dyadic_calls) == 1
+
+
+# --- closed-form oracle of the registry forcings ---------------------------------
+
+
+@pytest.mark.parametrize("key", ["5.1", "5.2", "5.3"])
+def test_closed_forms_match_the_dyadic_rule(registry_oracles, key):
+    grid = itertools.product((0.0, 0.25, 0.5, 0.9, 0.99, 0.999999), (0.1, 0.5, 0.9), (0.5, 1.0, 5.0))
+    for mu, eps, T in grid:
+        p, (exact1, exact2) = registry_oracles(key, mu=mu, eps=eps, T=T)
+        t = np.append(-T, np.linspace(0.0, T, 41))  # both rules give 0 where t <= 0
+        for horizon, kernel, exact in ((t, p.k1, exact1), (eps * t, p.k2, exact2)):
+            want = singular_integral(horizon, lambda s: kernel(t[..., None], s) * p.exact(s), mu)
+            np.testing.assert_allclose(exact(t), want, rtol=1e-12, atol=0, err_msg=f"{key} {mu} {eps} {T}")
+
+
+def test_wrong_closed_form_is_caught(registry_oracles, dyadic_calls):
+    # c (1 + 1e-6) moves I1 = -B(1/2, 2) t^(3/2) by 1.3e-6 t^(3/2), which
+    # passes the 1e-9 tolerance from t = 0.01 on
+    p, _ = registry_oracles("5.1", scale=1.0 + 1e-6)
+    assert np.isfinite(p.f1(np.array([0.0, 0.005]))).all()
+    with pytest.raises(OracleDisagreement, match="t=0.5"):
+        p.f1(0.5)
+    with pytest.raises(OracleDisagreement, match="t=0.2"):
+        p.f1(np.array([0.005, 0.2, 0.5]))
+    assert not dyadic_calls
+
+
+@pytest.mark.parametrize("key", ["5.1", "5.2", "5.3"])
+def test_registry_forcing_value_is_the_mapped_rule(key, dyadic_calls):
+    # the closed forms only check: the value is the mapped rule's, bit for bit
+    p = make_example(key)
+    y, mapped = p.exact, _mapped_rule(p.mu)
+    for t in (np.float64(0.3 * p.T), np.linspace(0.0, p.T, 9)):
+        i1 = _apply_rule(mapped, t, lambda s: p.k1(t[..., None], s) * y(s), p.mu)
+        i2 = _apply_rule(mapped, p.eps * t, lambda s: p.k2(t[..., None], s) * y(s), p.mu)
+        want = p.exact_deriv(t) - p.a1(t) * y(t) - p.b1(t) * y(p.eps * t) - i1 - i2
+        assert np.array_equal(p.f1(t), want)
+    assert not dyadic_calls
 
 
 # --- residual oracle ------------------------------------------------------------
