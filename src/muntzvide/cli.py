@@ -43,8 +43,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .analysis import (
     ERROR_CHANNELS,
     SOLVER_ERRORS,
@@ -56,7 +54,7 @@ from .analysis import (
     reference_solution,
     solve_once,
 )
-from .problem import EXAMPLE_KEYS, FORCINGS, VideProblem, _validate_parameters, exact_phi_pair, make_example
+from .problem import EXAMPLE_KEYS, FORCINGS, _validate_parameters, exact_phi_pair, make_example
 
 __all__ = [
     "ConfigError",
@@ -70,23 +68,6 @@ __all__ = [
 CSV_HEADER = ",".join(("N", *ERROR_CHANNELS, "runtime_ms"))
 
 MODES = ("solve", "sweep", "compare")
-
-# named coefficients for inline (problem = custom) definitions; like every
-# problem callable they take and return numpy arrays
-_COEFFS = {
-    "zero": lambda t: 0.0,
-    "one": lambda t: 1.0,
-    "neg_one": lambda t: -1.0,
-    "cos": np.cos,
-    "exp_neg": lambda t: np.exp(-t),
-    "sin2": lambda t: np.sin(2.0 * t),
-}
-_KERNELS = {
-    "zero": lambda t, s: 0.0,
-    "one": lambda t, s: 1.0,
-    "neg_one": lambda t, s: -1.0,
-}
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
@@ -112,9 +93,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected on/off")
 
 
-def _key(name: str, parse, default=MISSING, custom_only: bool = False, choices: Iterable[str] = ()):
-    """A RunSpec field read from config key ``name`` by ``parse``; no default means required."""
-    metadata = {"key": name, "parse": parse, "custom_only": custom_only, "choices": tuple(choices)}
+def _key(name: str, parse, default=MISSING, choices: Iterable[str] = ()):
+    """A RunSpec field read from config key ``name`` by ``parse``; no default means required.
+
+    A value outside non-empty ``choices`` is refused, naming the key.
+    """
+    metadata = {"key": name, "parse": parse, "choices": tuple(choices)}
     return field(default=default, metadata=metadata)
 
 
@@ -122,13 +106,12 @@ def _key(name: str, parse, default=MISSING, custom_only: bool = False, choices: 
 class RunSpec:
     """One run, checked when it is built, from a config or by hand.
 
-    A custom-only field, and ``ref_n`` outside compare mode, must be None
-    (its key not given).  ``n_values`` must be non-empty and strictly
-    increasing, with each N >= 2.
+    ``ref_n`` must be None (its key not given) outside compare mode.
+    ``n_values`` must be non-empty and strictly increasing, with each N >= 2.
     """
 
     mode: str = _key("mode", str, choices=MODES)
-    problem: str = _key("problem", str, choices=("custom", *EXAMPLE_KEYS))
+    problem: str = _key("problem", str, choices=EXAMPLE_KEYS)
     n_values: tuple[int, ...] = _key("N", _parse_n_values)
     lam: Optional[float] = _key("lambda", float, None)
     alpha: float = _key("alpha", float, SolverConfig.alpha)
@@ -142,11 +125,6 @@ class RunSpec:
     mu: Optional[float] = _key("mu", float, None)
     horizon: Optional[float] = _key("T", float, None)
     y0: Optional[float] = _key("y0", float, None)
-    a1: Optional[str] = _key("a1", str, None, custom_only=True, choices=_COEFFS)
-    b1: Optional[str] = _key("b1", str, None, custom_only=True, choices=_COEFFS)
-    f1: Optional[str] = _key("f1", str, None, custom_only=True, choices=_COEFFS)
-    k1: Optional[str] = _key("K1", str, None, custom_only=True, choices=_KERNELS)
-    k2: Optional[str] = _key("K2", str, None, custom_only=True, choices=_KERNELS)
     timing: bool = _key("timing", _parse_bool, False)
 
     def __post_init__(self):
@@ -157,10 +135,6 @@ class RunSpec:
         n = self.n_values
         if not (n and all(isinstance(k, numbers.Integral) and k >= 2 for k in n) and list(n) == sorted(set(n))):
             raise ConfigError(f"invalid value for key 'N': every N must be an integer >= 2, in increasing order, got {tuple(n)}")
-        if self.problem != "custom":
-            for name in _CUSTOM_ONLY:
-                if getattr(self, name) is not None:
-                    raise ConfigError(f"key {_KEY[name]!r} is only valid with problem = custom")
         # each value alone, so a failure names its own key: by SolverConfig's
         # rules for its fields, by VideProblem's for the problem parameters given
         for name in (*_SOLVER_FIELDS, "mu", "eps", "horizon", "y0"):
@@ -181,17 +155,11 @@ class RunSpec:
             raise ConfigError("key 'ref_N' is only valid with mode = compare")
         if self.mode == "solve" and len(n) != 1:
             raise ConfigError("solve mode takes a single N, not a range")
-        if self.problem == "custom":
-            if self.mu is None:
-                raise ConfigError("custom problems require key 'mu'")
-            if self.forcing is not None:
-                raise ConfigError("key 'forcing' picks a registry forcing; custom problems take 'f1'")
 
 
 # built once per module: field name -> key, key -> field
 _KEY = {f.name: f.metadata["key"] for f in fields(RunSpec)}
 _FIELD = {f.metadata["key"]: f for f in fields(RunSpec)}
-_CUSTOM_ONLY = tuple(f.name for f in fields(RunSpec) if f.metadata["custom_only"])
 _CHOICES = {f.name: f.metadata["choices"] for f in fields(RunSpec) if f.metadata["choices"]}
 # the RunSpec fields handed to SolverConfig by name
 _SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig))
@@ -231,25 +199,6 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(f"invalid value for key {key!r}: {exc}") from exc
     return RunSpec(**kwargs)
-
-
-def build_problem(spec: RunSpec) -> VideProblem:
-    if spec.problem != "custom":
-        return make_example(
-            spec.problem, mu=spec.mu, eps=spec.eps, T=spec.horizon, y0=spec.y0, forcing=spec.forcing
-        )
-    return VideProblem(
-        a1=_COEFFS[spec.a1 or "zero"],
-        b1=_COEFFS[spec.b1 or "zero"],
-        f1=_COEFFS[spec.f1 or "zero"],
-        k1=_KERNELS[spec.k1 or "zero"],
-        k2=_KERNELS[spec.k2 or "zero"],
-        mu=spec.mu,
-        eps=spec.eps if spec.eps is not None else 0.5,
-        T=spec.horizon if spec.horizon is not None else 1.0,
-        y0=spec.y0 if spec.y0 is not None else 0.0,
-        label="custom",
-    )
 
 
 def _fmt_err(x: float) -> str:
@@ -297,7 +246,7 @@ def run(spec: RunSpec) -> int:
         raise ConfigError(
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
         )
-    problem = build_problem(spec)
+    problem = make_example(spec.problem, mu=spec.mu, eps=spec.eps, T=spec.horizon, y0=spec.y0, forcing=spec.forcing)
     if spec.mode == "sweep" and exact_phi_pair(problem) is None:
         raise ConfigError(
             f"problem {spec.problem} has no exact solution to sweep against; "

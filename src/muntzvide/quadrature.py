@@ -107,19 +107,17 @@ def _recurrence(npts: int, alpha: float, beta: float):
     ab = alpha + beta
     diag = np.empty(npts)
     diag[0] = (beta - alpha) / (ab + 2.0)
-    if npts > 1:
-        k = np.arange(1, npts, dtype=float)
-        diag[1:] = (beta * beta - alpha * alpha) / ((2 * k + ab) * (2 * k + ab + 2))
+    k = np.arange(1, npts, dtype=float)
+    diag[1:] = (beta * beta - alpha * alpha) / ((2 * k + ab) * (2 * k + ab + 2))
     off = np.empty(max(npts - 1, 0))
     if npts > 1:
         off[0] = math.sqrt(
             4.0 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))
         )
-    if npts > 2:
-        k = np.arange(2, npts, dtype=float)
-        num = 4 * k * (k + alpha) * (k + beta) * (k + ab)
-        den = (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)
-        off[1:] = np.sqrt(num / den)
+    k = np.arange(2, npts, dtype=float)
+    num = 4 * k * (k + alpha) * (k + beta) * (k + ab)
+    den = (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1)
+    off[1:] = np.sqrt(num / den)
     return diag, off
 
 

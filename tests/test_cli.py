@@ -4,7 +4,6 @@ import re
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from muntzvide.analysis import (
@@ -16,14 +15,11 @@ from muntzvide.analysis import (
     reference_solution,
 )
 from muntzvide.cli import (
-    _COEFFS,
-    _KERNELS,
     _write_csv,
     CSV_HEADER,
     MODES,
     ConfigError,
     RunSpec,
-    build_problem,
     emit_plot_data,
     main,
     parse_config,
@@ -92,28 +88,13 @@ def test_parse_comments_and_last_key_wins():
     assert parse_config(text).n_values == (10,)
 
 
-def test_parse_custom_problem_keys():
-    text = (
-        "mode = solve\nproblem = custom\nN = 6\nmu = 0.5\n"
-        "a1 = neg_one\nb1 = one\nK1 = zero\nK2 = zero\nf1 = zero\ny0 = 2.0\n"
-    )
-    spec = parse_config(text)
-    p = build_problem(spec)
-    assert p.a1(0.3) == -1.0 and p.b1(0.3) == 1.0 and p.y0 == 2.0
-    with pytest.raises(ConfigError, match="custom"):
-        parse_config("mode = solve\nproblem = 5.1\nN = 6\na1 = one\n")
-    with pytest.raises(ConfigError, match="mu"):
-        parse_config("mode = solve\nproblem = custom\nN = 6\n")
-
-
 @pytest.mark.parametrize(
     "changes, key",
     [
         ({"mode": "compare", "problem": "5.4"}, "ref_N"),
         ({"mode": "compare", "problem": "5.4", "ref_n": 6}, "ref_N"),
         ({"n_values": (4, 6)}, "N"),
-        ({"a1": "one"}, "a1"),
-        ({"problem": "custom"}, "mu"),
+        ({"problem": "custom"}, "problem"),
         ({"lam": 1.5}, "lambda"),
         ({"linf_points": 1}, "linf_grid"),
         ({"l2_points": 0}, "l2_quad"),
@@ -121,7 +102,6 @@ def test_parse_custom_problem_keys():
         ({"mode": "bogus"}, "mode"),
         ({"problem": "5.9"}, "problem"),
         ({"forcing": "bogus"}, "forcing"),
-        ({"problem": "custom", "mu": 0.5, "a1": "bogus"}, "a1"),
         ({"n_values": (1,)}, "N"),
         ({"mode": "sweep", "n_values": ()}, "N"),
         ({"mode": "sweep", "n_values": (8, 6)}, "N"),
@@ -135,8 +115,8 @@ def test_parse_custom_problem_keys():
         ({"mode": "compare", "problem": "5.4", "n_values": (4, 6), "ref_n": 40.5}, "ref_N"),
         ({"alpha": -1.5, "beta": 0.5}, "alpha"),
     ],
-    ids=["compare-no-ref", "ref-too-small", "solve-two-n", "custom-only-key", "custom-no-mu",
-         "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "forcing", "custom-coeff",
+    ids=["compare-no-ref", "ref-too-small", "solve-two-n", "problem-custom",
+         "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "forcing",
          "n-below-2", "n-empty", "n-decreasing", "alpha", "beta", "mu", "eps", "T", "y0",
          "ref-outside-compare", "ref-not-int", "alpha-beside-beta"],
 )
@@ -182,23 +162,6 @@ def test_readme_key_table_matches_runspec():
     for row in table.splitlines()[2:]:
         documented |= set(re.findall(r"`([^`]+)`", row.split("|")[1]))
     assert documented == {f.metadata["key"] for f in fields(RunSpec)}
-
-
-@pytest.mark.parametrize("name", sorted(_COEFFS))
-def test_named_coefficients_are_array_native(name):
-    fn = _COEFFS[name]
-    t = np.array([0.0, 0.13, 0.37, 0.71, 1.0])
-    want = np.array([fn(float(x)) for x in t])
-    np.testing.assert_allclose(np.broadcast_to(fn(t), t.shape), want, rtol=1e-14, atol=0)
-
-
-@pytest.mark.parametrize("name", sorted(_KERNELS))
-def test_named_kernels_are_array_native(name):
-    fn = _KERNELS[name]
-    t = np.array([0.0, 0.13, 0.37, 0.71, 1.0])
-    s = np.array([0.0, 0.05, 0.2, 0.5, 0.9])
-    want = np.array([fn(float(a), float(b)) for a, b in zip(t, s)])
-    np.testing.assert_allclose(np.broadcast_to(fn(t, s), t.shape), want, rtol=1e-14, atol=0)
 
 
 # --- outputs --------------------------------------------------------------------
@@ -494,11 +457,36 @@ def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "none.csv"
     cfg.write_text(f"N = 4\nmu = 0.5\noutput = {out}\n")
-    for problem, key in [("5.4", "forcing=printed"), ("custom", "forcing=printed"), ("5.1", "y0=2")]:
+    for problem, key in [("5.4", "forcing=printed"), ("5.1", "y0=2")]:
         argv = ["solve", "--config", str(cfg), "--set", f"problem={problem}", "--set", key]
         assert main(argv) == 2
         assert key.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("problem = custom",
+         "error: invalid value for key 'problem': must be one of ('5.1', '5.2', '5.3', '5.4'), got 'custom'"),
+        *((f"{key} = one", f"error: line 4: unknown key {key!r}") for key in ("a1", "b1", "f1", "K1", "K2")),
+    ],
+    ids=["problem-custom", "a1", "b1", "f1", "K1", "K2"],
+)
+def test_retired_custom_problem_keys_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, item, message):
+    import muntzvide.analysis as analysis
+    import muntzvide.cli as cli
+
+    calls, original = [], analysis.solve_once
+    counted = lambda *args: calls.append(args[1]) or original(*args)  # noqa: E731
+    monkeypatch.setattr(cli, "solve_once", counted)
+    monkeypatch.setattr(analysis, "solve_once", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / 'x.csv'}\n{item}\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_out_of_range_problem_parameter_names_its_key(tmp_path, capsys):
@@ -605,13 +593,11 @@ def test_sweep_without_closed_form_points_to_compare(tmp_path, capsys, monkeypat
     monkeypatch.setattr(analysis, "solve_once", counted)
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "none.csv"
-    custom = "problem = custom\nmu = 0.5\na1 = neg_one\nb1 = one\nK1 = zero\nK2 = zero\nf1 = zero\n"
-    for problem in ("problem = 5.4\n", custom):
-        cfg.write_text(f"{problem}N = 4:8:2\noutput = {out}\n")
-        assert main(["sweep", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "compare" in err[0] and "ref_N" in err[0]
+    cfg.write_text(f"problem = 5.4\nN = 4:8:2\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "compare" in err[0] and "ref_N" in err[0]
     assert calls == []
     assert not out.exists()
 

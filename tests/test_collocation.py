@@ -428,6 +428,59 @@ def test_all_terms_problem_converges_to_its_exact_solution():
     assert rows[-1].linf_e <= 1e-10 and rows[-1].linf_estar <= 1e-10
 
 
+# Equations off the registry are written in Python as a VideProblem.  These are
+# the six coefficients and three constant kernels that a named-term config
+# menu once offered, each a one-line callable; constant returns must broadcast
+# through the forcing, the assembly and the error norms.
+NAMED_COEFFS = {
+    "zero": lambda t: 0.0,
+    "one": lambda t: 1.0,
+    "neg_one": lambda t: -1.0,
+    "cos": np.cos,
+    "exp_neg": lambda t: np.exp(-t),
+    "sin2": lambda t: np.sin(2.0 * t),
+}
+NAMED_KERNELS = {
+    "zero": lambda t, s: 0.0,
+    "one": lambda t, s: 1.0,
+    "neg_one": lambda t, s: -1.0,
+}
+
+
+def named_terms_problem(a1, b1, kernel):
+    """mu = eps = 1/2 on [0, 1] with f1 manufactured from y = 2 + t^(3/2) e^-t."""
+    skeleton = VideProblem(
+        a1=a1, b1=b1, f1=lambda t: 0.0, k1=kernel, k2=kernel, mu=0.5, eps=0.5, T=1.0, y0=2.0
+    )
+
+    def y(t):
+        return 2.0 + t**1.5 * np.exp(-t)
+
+    def yp(t):
+        return np.exp(-t) * (1.5 * np.sqrt(t) - t**1.5)
+
+    f1 = manufactured_forcing(y, yp, skeleton)
+    return dataclasses.replace(skeleton, f1=f1, exact=y, exact_deriv=yp)
+
+
+def assert_converges(p):
+    rows = convergence_sweep(p, SolverConfig(), (8, 16)).rows
+    assert not any(r.failed for r in rows)
+    assert rows[1].linf_e < rows[0].linf_e
+    assert rows[1].linf_e <= 1e-10 and rows[1].linf_estar <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COEFFS))
+def test_named_coefficient_problem_converges(name):
+    coeff = NAMED_COEFFS[name]
+    assert_converges(named_terms_problem(coeff, coeff, NAMED_KERNELS["zero"]))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_KERNELS))
+def test_named_kernel_problem_converges(name):
+    assert_converges(named_terms_problem(NAMED_COEFFS["neg_one"], NAMED_COEFFS["one"], NAMED_KERNELS[name]))
+
+
 # --- evaluation -----------------------------------------------------------------
 
 
