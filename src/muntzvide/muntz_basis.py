@@ -16,7 +16,15 @@ in the tests as a small-N cross-check only.
       dilation table, built in bounded tiles (its docstring gives the layout).
 
 All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
-points, whose row for a z within ``_SNAP_TOL`` of node k is e_k instead.
+points (``_cauchy``), and each caller snaps its own points to the nodes.
+``basis_matrix_z`` and ``interpolate`` search every point: one within
+``_SNAP_TOL`` of node k takes the Kronecker row e_k (``interpolate`` returns
+the nodal value), since a theta that is a node may reach z = theta^lam only
+to rounding.  ``dilation_product`` searches only the products z_i z_l whose
+row sum S = R w is not finite, as it is for one that lands exactly on a
+node (there the form is 0/0); the second form stays accurate arbitrarily
+close to a node (Higham, IMA J. Numer. Anal. 24, 2004), so a product near
+one needs nothing.
 ``basis_matrix_z`` and ``dilation_product`` run without numpy's divide,
 invalid and overflow warnings, as the basis overflows far from crowded nodes;
 the consumer reports non-finite output (``solve`` raises
@@ -40,8 +48,8 @@ __all__ = [
     "interpolate",
 ]
 
-# within this distance of a node (in z) the barycentric form is 0/0: the z
-# takes that node's Kronecker row as its Cauchy row instead
+# a point within this distance of a node (in z) is snapped to it (the module
+# docstring gives the two rules)
 _SNAP_TOL = 1e-15
 # a Cauchy tile of ``dilation_product`` holds at most this many entries, which
 # bounds its scratch memory (its docstring gives the tile layout)
@@ -91,28 +99,28 @@ def _nearest(grid: CollocationGrid, z: np.ndarray):
     return near, np.abs(z - nodes[near]) <= _SNAP_TOL
 
 
-def _cauchy(grid: CollocationGrid, z: np.ndarray, near: np.ndarray, snap: np.ndarray, out: np.ndarray):
+def _right_factor(grid: CollocationGrid) -> np.ndarray:
+    """The right factor [[1 ... 1], [-z_j]] of ``_cauchy``'s K = 2 product."""
+    rhs = np.ones((2, grid.n + 1))
+    np.negative(grid.z_points, out=rhs[1])
+    return rhs
+
+
+def _cauchy(rhs: np.ndarray, z: np.ndarray, out: np.ndarray):
     """Write R = 1 / (z - z_j) into ``out`` and return it.
 
-    ``out`` is a C-contiguous array of shape ``z.shape + (N+1,)``, and
-    ``near, snap`` are ``_nearest`` of these z.  A snapped z (moved off [0, 1]
-    so as not to divide by zero) has its node's Kronecker row e_k as its row,
-    so the barycentric form gives F_j = w_j delta_jk / w_k, exactly delta_jk.
+    ``rhs`` is the grid's ``_right_factor`` and ``out`` a C-contiguous array
+    of shape ``z.shape + (N+1,)``.  A z on a node divides by zero there;
+    snapping is left to the callers (see the module docstring).
     """
-    nodes = grid.z_points
     # z - z_j as one K = 2 product [z, 1] @ [[1 ... 1], [-z_j]]: its products
     # are exact and each entry rounds once, so it is bitwise the subtraction,
     # which np.subtract into ``out`` forms 12-18% slower per solve at N = 64-192
-    lhs = np.empty((snap.size, 2))
-    lhs[:, 0] = np.where(snap, -1.0, z).ravel()
+    lhs = np.empty((z.size, 2))
+    lhs[:, 0] = z.ravel()
     lhs[:, 1] = 1.0
-    rhs = np.ones((2, nodes.size))
-    np.negative(nodes, out=rhs[1])
-    np.matmul(lhs, rhs, out=out.reshape(snap.size, nodes.size))
+    np.matmul(lhs, rhs, out=out.reshape(z.size, rhs.shape[1]))
     np.reciprocal(out, out=out)
-    if snap.any():
-        out[snap] = 0.0
-        out[snap, near[snap]] = 1.0
     return out
 
 
@@ -129,7 +137,11 @@ def basis_matrix_z(grid: CollocationGrid, z) -> np.ndarray:
     theta spares a caller who knows z exactly a lossy power round trip.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    cauchy = _cauchy(grid, z, *_nearest(grid, z), np.empty(z.shape + grid.z_points.shape))
+    cauchy = _cauchy(_right_factor(grid), z, np.empty(z.shape + grid.z_points.shape))
+    near, snap = _nearest(grid, z)
+    if snap.any():
+        cauchy[snap] = 0.0
+        cauchy[snap, near[snap]] = 1.0
     w = grid.bary_weights
     s = cauchy @ w
     cauchy *= w
@@ -148,16 +160,18 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     most one, for width = isqrt(``_BLOCK_ENTRIES`` // (N+1)), so that a square
     tile of two blocks holds at most ``_BLOCK_ENTRIES`` Cauchy entries; block
     row [a, b) is a row of square tiles, one for each l-block [e, f) with
-    e >= a.  The nearest node and snap flag of its points z_i z_l, l >= a,
-    are found once for the whole block row.  A tile's Cauchy array takes its
+    e >= a, over the points z_i z_l.  A tile's Cauchy array takes its
     pairs (i, l) directly and, off the diagonal, the same entries transposed
     as its pairs (l, i); both are batched products w * ((W / S) @ R), with S
     as in ``basis_matrix_z``, that contract over the tile width and add into
     whole rows of the (i, c, j) sums.
     That is n1 (n1^2 + sum |block|^2) / 2 Cauchy entries for n1 = N+1, and all
     (N+1)^3 when one tile holds the whole table (N <= 49).  Every tile is
-    built in one scratch buffer; a snapped pair is like any other.  Any other
-    shape of ``W`` raises ``ValueError``.
+    built in one scratch buffer.  Only a pair whose S is not finite is
+    searched for a node (no pair of a default grid is): one within
+    ``_SNAP_TOL`` takes the node's Kronecker row and S = w_k, and any other
+    stays non-finite for the consumer to report.  Any other shape of ``W``
+    raises ``ValueError``.
     """
     n1 = grid.n + 1
     W = np.asarray(W, dtype=float)
@@ -171,14 +185,26 @@ def dilation_product(grid: CollocationGrid, W) -> np.ndarray:
     largest = -(-n1 // count)
     # one buffer for every tile: allocating each tile is 30-57% slower at N = 64-192
     scratch = np.empty(largest * largest * n1)
+    # one K = 2 right factor for every tile: building it per tile is 1-2% slower
+    rhs = _right_factor(grid)
     for r, (a, b) in enumerate(blocks):
         row = np.multiply.outer(z[a:b], z[a:])  # the points z_i z_l with l >= a
-        near, snap = _nearest(grid, row)
         for e, f in blocks[r:]:
-            cols = slice(e - a, f - a)
+            points = row[:, e - a : f - a]
             tile = scratch[: (b - a) * (f - e) * n1].reshape(b - a, f - e, n1)
-            cauchy = _cauchy(grid, row[:, cols], near[:, cols], snap[:, cols], tile)
-            inv_s = 1.0 / (cauchy @ w)  # (i, l)
+            cauchy = _cauchy(rhs, points, tile)
+            s = cauchy @ w  # (i, l)
+            hit = ~np.isfinite(s)
+            if hit.any():
+                # a point on a node divides by zero, so its S is not finite
+                # (as is an overflowed one): search only these
+                near, snap = _nearest(grid, points[hit])
+                i, l = np.nonzero(hit)
+                i, l, k = i[snap], l[snap], near[snap]
+                cauchy[i, l] = 0.0
+                cauchy[i, l, k] = 1.0
+                s[i, l] = w[k]
+            inv_s = 1.0 / s
             # pairs (i, l): (i, c, l) @ (i, l, j)
             sums[a:b] += (W[:, a:b, e:f] * inv_s).transpose(1, 0, 2) @ cauchy
             if e > a:
@@ -207,7 +233,8 @@ def interpolate(grid: CollocationGrid, values, theta) -> np.ndarray:
     # a snapped point takes v_k itself, which (w_k v_k) / w_k need not round to
     z = theta.ravel() ** grid.lam
     near, snap = _nearest(grid, z)
-    cauchy = _cauchy(grid, z, near, snap, np.empty(z.shape + grid.z_points.shape))
+    # a snapped point is moved off [0, 1] so as not to divide by zero
+    cauchy = _cauchy(_right_factor(grid), np.where(snap, -1.0, z), np.empty(z.shape + grid.z_points.shape))
     w = grid.bary_weights
     chan = values.reshape(grid.n + 1, -1)
     out = (cauchy @ (w[:, None] * chan)) / (cauchy @ w)[:, None]

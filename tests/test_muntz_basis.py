@@ -259,22 +259,22 @@ def lagrange(nodes, j, x):
 def test_cauchy_product_is_bitwise_the_subtraction(n, lam):
     # _cauchy forms z - z_j as a K = 2 matrix product; it must round exactly
     # as the subtraction does, which keeps the default outputs byte-identical.
-    # A snapped point's row is its node's Kronecker row
+    # It snaps nothing: a point on a node divides by zero there
     grid = build_grid(n, -0.5, -0.5, lam)
     nodes = grid.z_points
     rng = np.random.default_rng(n)
     z = np.concatenate([nodes, nodes + 1e-16, nodes - 1e-16, rng.uniform(0.0, 1.0, 3 * (n + 1))])
+    rhs = muntz_basis._right_factor(grid)
     for points in (z, z.reshape(6, n + 1)):
-        near, snap = muntz_basis._nearest(grid, points)
-        cauchy = muntz_basis._cauchy(grid, points, near, snap, np.empty(points.shape + (n + 1,)))
-        assert snap.shape == points.shape and snap.sum() == 3 * (n + 1)
-        want = np.empty(points.shape + (n + 1,))
-        want[~snap] = 1 / np.subtract.outer(points[~snap], nodes)
-        want[snap] = np.eye(n + 1)[near[snap]]
+        with np.errstate(divide="ignore"):
+            cauchy = muntz_basis._cauchy(rhs, points, np.empty(points.shape + (n + 1,)))
+            want = 1 / np.subtract.outer(points, nodes)
         assert np.array_equal(cauchy, want)
+        assert np.isinf(cauchy).sum() == np.isin(points, nodes).sum() >= n + 1
         buffer = np.full(points.size * (n + 1) + 7, np.nan)
         out = buffer[: points.size * (n + 1)].reshape(points.shape + (n + 1,))
-        got = muntz_basis._cauchy(grid, points, near, snap, out)
+        with np.errstate(divide="ignore"):
+            got = muntz_basis._cauchy(rhs, points, out)
         assert got is out and np.array_equal(out, want)
 
 
@@ -286,14 +286,21 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     # and off the diagonal through both the direct and the transposed
     # direction; 2**17 builds the table as one tile
     monkeypatch.setattr(muntz_basis, "_BLOCK_ENTRIES", block_entries)
-    tiles = []
-    cauchy = muntz_basis._cauchy
+    tiles = []  # per tile, the points searched for a node
+    cauchy, nearest = muntz_basis._cauchy, muntz_basis._nearest
 
-    def counting(grid, z, near, snap, out):
-        tiles.append(int(snap.sum()))
-        return cauchy(grid, z, near, snap, out)
+    def tile(rhs, z, out):
+        tiles.append(0)
+        return cauchy(rhs, z, out)
 
-    monkeypatch.setattr(muntz_basis, "_cauchy", counting)
+    def search(grid, z):
+        # only the points that land on a node are searched, and each snaps
+        assert np.isin(z, grid.z_points).all()
+        tiles[-1] += z.size
+        near, snap = nearest(grid, z)
+        assert snap.all()
+        return near, snap
+
     z = np.array([0.25, 0.5, 1.0])
     bary = 1.0 / np.array([np.prod(np.delete(z[j] - z, j)) for j in range(3)])
     grid = CollocationGrid(n=2, lam=1.0, points=z, z_points=z, bary_weights=bary)
@@ -303,8 +310,12 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
          for i in range(3)]
         for c in range(2)
     ])
-    got = muntz_basis.dilation_product(grid, W)
-    # snapped points per tile, block row by block row
+    with monkeypatch.context() as spies:
+        spies.setattr(muntz_basis, "_cauchy", tile)
+        spies.setattr(muntz_basis, "_nearest", search)
+        got = muntz_basis.dilation_product(grid, W)
+    # snapped points per tile, block row by block row: the 6 products on a
+    # node when one tile holds the whole table
     assert tiles == {9: [0, 0, 1, 1, 1, 1], 12: [0, 1, 4], 2**17: [6]}[block_entries]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
     # the row-by-row reference goes through basis_matrix_z, the other consumer
@@ -313,6 +324,38 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     np.testing.assert_allclose(got, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
     assert got.shape == (2, 3, 3)
     assert muntz_basis.dilation_product(grid, W[:1]).shape == (1, 3, 3)
+
+
+@pytest.mark.parametrize("first, searched", [(0.25, [0.25]), (0.375, [])])
+def test_dilation_product_leaves_near_hits_to_the_barycentric_form(monkeypatch, first, searched):
+    # z = {first, 1/2, 1 - 2^-53}: 1/2 (1 - 2^-53) lies 2^-54 from the node
+    # 1/2, and (1 - 2^-53)^2 rounds to 2^-53 below the node 1 - 2^-53, both
+    # within _SNAP_TOL without landing on a node.  The second barycentric form
+    # is accurate there, so they are not searched; only 1/2 * 1/2, exactly the
+    # node 1/4 of the first grid, is
+    z = np.array([first, 0.5, 1.0 - 2.0**-53])
+    products = np.multiply.outer(z, z)
+    near = np.abs(products[..., None] - z)
+    assert ((near > 0) & (near <= muntz_basis._SNAP_TOL)).sum() >= 2
+    calls = []
+    nearest = muntz_basis._nearest
+
+    def search(grid, points):
+        calls.extend(points.tolist())
+        return nearest(grid, points)
+
+    monkeypatch.setattr(muntz_basis, "_nearest", search)
+    bary = 1.0 / np.array([np.prod(np.delete(z[j] - z, j)) for j in range(3)])
+    grid = CollocationGrid(n=2, lam=1.0, points=z, z_points=z, bary_weights=bary)
+    W = np.random.default_rng(7).standard_normal((2, 3, 3))
+    want = np.array([
+        [[sum(W[c, i, l] * lagrange(z, j, z[i] * z[l]) for l in range(3)) for j in range(3)]
+         for i in range(3)]
+        for c in range(2)
+    ])
+    got = muntz_basis.dilation_product(grid, W)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert calls == searched
 
 
 @pytest.mark.parametrize("shape", [(5, 2, 5), (50,), (2, 25), (5, 5)])
@@ -352,18 +395,27 @@ def test_dilation_product_many_tiles_match_rows(monkeypatch, n):
     # last block of 1 row at N = 80 and 3 rows at N = 184
     grid = build_grid(n, -0.5, -0.5, 0.5)
     width = math.isqrt(muntz_basis._BLOCK_ENTRIES // (n + 1))
-    rows = []
-    nearest = muntz_basis._nearest
+    shapes, searched = [], []
+    cauchy, nearest = muntz_basis._cauchy, muntz_basis._nearest
 
-    def counting(grid, z):
-        rows.append(z.shape[0])
+    def tile(rhs, z, out):
+        shapes.append(z.shape)
+        return cauchy(rhs, z, out)
+
+    def search(grid, z):
+        searched.append(z.size)
         return nearest(grid, z)
 
-    monkeypatch.setattr(muntz_basis, "_nearest", counting)
+    monkeypatch.setattr(muntz_basis, "_cauchy", tile)
+    monkeypatch.setattr(muntz_basis, "_nearest", search)
     W = np.random.default_rng(n).standard_normal((3, n + 1, n + 1))
     got = muntz_basis.dilation_product(grid, W)
-    # one snap search per block row
+    # the first block row has one tile per block
+    count = -(-(n + 1) // width)
+    rows = [shape[1] for shape in shapes[:count]]
     assert (width, sorted(set(rows))) == {80: (40, [27]), 184: (26, [23, 24]), 192: (26, [24, 25])}[n]
-    assert len(rows) == -(-(n + 1) // width) and sum(rows) == n + 1
+    assert len(shapes) == count * (count + 1) // 2 and sum(rows) == n + 1
+    # no product of a Gauss grid lands on a node: no snap search at all
+    assert searched == []
     ref = rowwise_dilation(grid, W)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
