@@ -54,7 +54,7 @@ from .analysis import (
     reference_solution,
     solve_once,
 )
-from .problem import EXAMPLE_KEYS, FORCINGS, _validate_parameters, exact_phi_pair, make_example
+from .problem import EXAMPLE_KEYS, _validate_parameters, exact_phi_pair, make_example
 
 __all__ = [
     "ConfigError",
@@ -85,19 +85,8 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     return tuple(range(start, stop + 1, step))
 
 
-def _parse_bool(text: str) -> bool:
-    if text in ("on", "true", "1"):
-        return True
-    if text in ("off", "false", "0"):
-        return False
-    raise ValueError("expected on/off")
-
-
 def _key(name: str, parse, default=MISSING, choices: Iterable[str] = ()):
-    """A RunSpec field read from config key ``name`` by ``parse``; no default means required.
-
-    A value outside non-empty ``choices`` is refused, naming the key.
-    """
+    """A RunSpec field read from config key ``name`` by ``parse``, within any ``choices``; no default means required."""
     metadata = {"key": name, "parse": parse, "choices": tuple(choices)}
     return field(default=default, metadata=metadata)
 
@@ -116,7 +105,6 @@ class RunSpec:
     lam: Optional[float] = _key("lambda", float, None)
     alpha: float = _key("alpha", float, SolverConfig.alpha)
     beta: float = _key("beta", float, SolverConfig.beta)
-    forcing: Optional[str] = _key("forcing", str, None, choices=FORCINGS)
     output: str = _key("output", str, "results.csv")
     linf_points: int = _key("linf_grid", int, SolverConfig.linf_points)
     l2_points: Optional[int] = _key("l2_quad", int, None)
@@ -125,12 +113,12 @@ class RunSpec:
     mu: Optional[float] = _key("mu", float, None)
     horizon: Optional[float] = _key("T", float, None)
     y0: Optional[float] = _key("y0", float, None)
-    timing: bool = _key("timing", _parse_bool, False)
+    timing: str = _key("timing", str, "off", choices=("on", "off"))
 
     def __post_init__(self):
         for name, choices in _CHOICES.items():
             value = getattr(self, name)
-            if value is not None and value not in choices:
+            if value not in choices:
                 raise ConfigError(f"invalid value for key {_KEY[name]!r}: must be one of {choices}, got {value!r}")
         n = self.n_values
         if not (n and all(isinstance(k, numbers.Integral) and k >= 2 for k in n) and list(n) == sorted(set(n))):
@@ -246,7 +234,7 @@ def run(spec: RunSpec) -> int:
         raise ConfigError(
             f"cannot write output {spec.output!r}: {str(out.parent)!r} is not a writable directory"
         )
-    problem = make_example(spec.problem, mu=spec.mu, eps=spec.eps, T=spec.horizon, y0=spec.y0, forcing=spec.forcing)
+    problem = make_example(spec.problem, mu=spec.mu, eps=spec.eps, T=spec.horizon, y0=spec.y0)
     if spec.mode == "sweep" and exact_phi_pair(problem) is None:
         raise ConfigError(
             f"problem {spec.problem} has no exact solution to sweep against; "
@@ -270,7 +258,7 @@ def run(spec: RunSpec) -> int:
         ref = reference_solution(problem, config, spec.ref_n) if spec.mode == "compare" else None
         table = convergence_sweep(problem, config, spec.n_values, reference=ref)
 
-    _write_csv(table, out, spec.timing)
+    _write_csv(table, out, spec.timing == "on")
     if spec.mode != "solve" and not all(r.failed for r in table.rows):
         emit_plot_data(table, plot)
     for r in table.rows:

@@ -19,12 +19,15 @@ All three evaluate through the Cauchy matrix R = 1 / (z - z_j) of their
 points (``_cauchy``), and each caller snaps its own points to the nodes.
 ``basis_matrix_z`` and ``interpolate`` search every point: one within
 ``_SNAP_TOL`` of node k takes the Kronecker row e_k (``interpolate`` returns
-the nodal value), since a theta that is a node may reach z = theta^lam only
-to rounding.  ``dilation_product`` searches only the products z_i z_l whose
-row sum S = R w is not finite, as it is for one that lands exactly on a
-node (there the form is 0/0); the second form stays accurate arbitrarily
-close to a node (Higham, IMA J. Numer. Anal. 24, 2004), so a product near
-one needs nothing.
+the nodal value).  A theta that is a node reaches z = theta^lam only to
+rounding, and ``basis_matrix_z`` takes its z from rules that can meet the
+nodes exactly or to rounding.  ``dilation_product`` searches only the
+products z_i z_l whose row sum S = R w is not finite, as it is for one that
+lands exactly on a node (there the form is 0/0); the second form stays
+accurate arbitrarily close to a node (Higham, IMA J. Numer. Anal. 24, 2004),
+so a product near one needs nothing.  No product of a default grid lands on
+a node; at alpha = beta = lam = 1/2 the middle node's square does (N = 88,
+124, 148 and 172).
 ``basis_matrix_z`` and ``dilation_product`` run without numpy's divide,
 invalid and overflow warnings, as the basis overflows far from crowded nodes;
 the consumer reports non-finite output (``solve`` raises

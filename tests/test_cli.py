@@ -101,7 +101,8 @@ def test_parse_comments_and_last_key_wins():
         ({"l2_points": 1.5}, "l2_quad"),
         ({"mode": "bogus"}, "mode"),
         ({"problem": "5.9"}, "problem"),
-        ({"forcing": "bogus"}, "forcing"),
+        ({"timing": "yes"}, "timing"),
+        ({"timing": True}, "timing"),
         ({"n_values": (1,)}, "N"),
         ({"mode": "sweep", "n_values": ()}, "N"),
         ({"mode": "sweep", "n_values": (8, 6)}, "N"),
@@ -116,7 +117,7 @@ def test_parse_comments_and_last_key_wins():
         ({"alpha": -1.5, "beta": 0.5}, "alpha"),
     ],
     ids=["compare-no-ref", "ref-too-small", "solve-two-n", "problem-custom",
-         "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "forcing",
+         "lambda", "linf_grid", "l2_quad", "l2_quad-not-int", "mode", "problem", "timing", "timing-not-str",
          "n-below-2", "n-empty", "n-decreasing", "alpha", "beta", "mu", "eps", "T", "y0",
          "ref-outside-compare", "ref-not-int", "alpha-beside-beta"],
 )
@@ -190,8 +191,16 @@ def test_timing_on_writes_runtimes(tmp_path):
     assert run(parse_config(text + "timing = on\n")) == 0
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 3 and all(float(line.split(",")[-1]) > 0.0 for line in lines)
-    with pytest.raises(ConfigError, match="'timing': expected on/off"):
-        parse_config(text + "timing = maybe\n")
+    # exactly on or off, like every key with choices: no other spelling of a switch
+    for value in ("maybe", "true", "1", "false", "0", "yes"):
+        with pytest.raises(ConfigError, match=rf"^invalid value for key 'timing': must be one of \('on', 'off'\), got '{value}'$"):
+            parse_config(f"{text}timing = {value}\n")
+
+
+def test_hand_built_timing_off_writes_zero_runtimes(tmp_path):
+    out = tmp_path / "hand.csv"
+    assert run(RunSpec(mode="sweep", problem="5.1", n_values=(4, 6), output=str(out), timing="off")) == 0
+    assert [line.split(",")[-1] for line in out.read_text().splitlines()] == ["runtime_ms", "0.000", "0.000"]
 
 
 def test_run_solve_writes_nodal_dump(tmp_path):
@@ -457,7 +466,7 @@ def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "none.csv"
     cfg.write_text(f"N = 4\nmu = 0.5\noutput = {out}\n")
-    for problem, key in [("5.4", "forcing=printed"), ("5.1", "y0=2")]:
+    for problem, key in [("5.2", "y0=2"), ("5.1", "y0=2")]:
         argv = ["solve", "--config", str(cfg), "--set", f"problem={problem}", "--set", key]
         assert main(argv) == 2
         assert key.split("=")[0] in capsys.readouterr().err
@@ -470,8 +479,12 @@ def test_overrides_the_problem_does_not_take_exit_2(tmp_path, capsys):
         ("problem = custom",
          "error: invalid value for key 'problem': must be one of ('5.1', '5.2', '5.3', '5.4'), got 'custom'"),
         *((f"{key} = one", f"error: line 4: unknown key {key!r}") for key in ("a1", "b1", "f1", "K1", "K2")),
+        # and the forcing selector: the printed forcings are built in Python,
+        # make_example(key, forcing="printed")
+        ("forcing = printed", "error: line 4: unknown key 'forcing'"),
+        ("--set forcing=printed", "error: --set forcing=printed: unknown key 'forcing'"),
     ],
-    ids=["problem-custom", "a1", "b1", "f1", "K1", "K2"],
+    ids=["problem-custom", "a1", "b1", "f1", "K1", "K2", "forcing", "set-forcing"],
 )
 def test_retired_custom_problem_keys_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, item, message):
     import muntzvide.analysis as analysis
@@ -482,8 +495,10 @@ def test_retired_custom_problem_keys_exit_2_before_any_solve(tmp_path, capsys, m
     monkeypatch.setattr(cli, "solve_once", counted)
     monkeypatch.setattr(analysis, "solve_once", counted)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"problem = 5.1\nN = 4\noutput = {tmp_path / 'x.csv'}\n{item}\n")
-    assert main(["solve", "--config", str(cfg)]) == 2
+    text = f"problem = 5.1\nN = 4\noutput = {tmp_path / 'x.csv'}\n"
+    overrides = item.split(" ", 1) if item.startswith("--set ") else []
+    cfg.write_text(text if overrides else f"{text}{item}\n")
+    assert main(["solve", "--config", str(cfg), *overrides]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
@@ -618,7 +633,7 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
         ("N", "error: --set N: expected 'key = value', got 'N'"),
         ("N=", "error: --set N=: empty value for key 'N'"),
         # a bad value is checked by RunSpec, which names the key
-        ("forcing=bogus", "error: invalid value for key 'forcing': must be one of ('corrected', 'printed'), got 'bogus'"),
+        ("timing=yes", "error: invalid value for key 'timing': must be one of ('on', 'off'), got 'yes'"),
     ]:
         assert main(["sweep", "--config", str(cfg), "--set", item]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
@@ -627,12 +642,14 @@ def test_bad_override_is_named_not_numbered(tmp_path, capsys):
         parse_config("problem = 5.1\nbogus = 1\n", ["N=4"])
 
 
+SNAPSHOT_TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+
+
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
-    # tools/cli_snapshot.py: sixteen default CLI runs over the three modes
+    # tools/cli_snapshot.py: fifteen default CLI runs over the three modes
     # and 34 solves' systems and solutions, the byte-identity check between
     # two versions of the code
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    spec = importlib.util.spec_from_file_location("cli_snapshot", SNAPSHOT_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
@@ -641,12 +658,34 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
 
     first, second = tool.snapshot(tmp_path / "a"), tool.snapshot(tmp_path / "b")
     assert first == second
-    assert sorted(first.values()) == [0] * 10 + [1] * 5 + [2]
+    assert sorted(first.values()) == [0] * 9 + [1] * 5 + [2]
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert a == b
     # five files per run; two of the runs that exit 1 write no plot data, two
     # stop on a solver error and, like the run that exits 2, write no results;
     # twelve files per solve; and the tree's one environment file
-    assert len(a) == 5 * 16 - 2 - 2 * 2 - 2 + 12 * 34 + 1
+    assert len(a) == 5 * 15 - 2 - 2 * 2 - 2 + 12 * 34 + 1
     assert a["environment"] == tool.environment_text().encode()
     assert not any(str(tmp_path).encode() in data for data in a.values())
+
+
+@pytest.mark.parametrize("run_name, want", [("cli_snapshot", None), ("__main__", "1")])
+def test_cli_snapshot_pins_one_blas_thread_only_as_a_script(monkeypatch, capsys, run_name, want):
+    # run as a script, the tool defaults each BLAS thread variable to 1 before
+    # numpy loads; imported, it leaves the environment alone
+    import os
+    import runpy
+    import sys
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    environ = {k: v for k, v in os.environ.items() if k not in names}
+    environ["MKL_NUM_THREADS"] = "2"  # a caller's setting is kept
+    monkeypatch.setattr(os, "environ", environ)
+    monkeypatch.setattr(sys, "argv", [str(SNAPSHOT_TOOL)])  # no OUTDIR: usage, exit 2
+    if run_name == "__main__":
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(str(SNAPSHOT_TOOL), run_name=run_name)
+        assert stop.value.code == 2 and capsys.readouterr().err == "usage: cli_snapshot.py OUTDIR\n"
+    else:
+        runpy.run_path(str(SNAPSHOT_TOOL), run_name=run_name)
+    assert [environ.get(k) for k in names] == [want, want, "2"]

@@ -6,10 +6,13 @@ import pytest
 from muntzvide import (
     CollocationGrid,
     QuadratureError,
+    SolverConfig,
     basis_matrix_z,
     build_grid,
+    convergence_sweep,
     gauss_jacobi,
     interpolate,
+    make_example,
     to_fractional,
 )
 from muntzvide import muntz_basis
@@ -318,8 +321,8 @@ def test_dilation_product_on_a_grid_closed_under_products(monkeypatch, block_ent
     # node when one tile holds the whole table
     assert tiles == {9: [0, 0, 1, 1, 1, 1], 12: [0, 1, 4], 2**17: [6]}[block_entries]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
-    # the row-by-row reference goes through basis_matrix_z, the other consumer
-    # of _cauchy's Kronecker rows
+    # the row-by-row reference goes through basis_matrix_z, which snaps every
+    # point it is given itself
     rows = rowwise_dilation(grid, W)
     np.testing.assert_allclose(got, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
     assert got.shape == (2, 3, 3)
@@ -415,7 +418,56 @@ def test_dilation_product_many_tiles_match_rows(monkeypatch, n):
     rows = [shape[1] for shape in shapes[:count]]
     assert (width, sorted(set(rows))) == {80: (40, [27]), 184: (26, [23, 24]), 192: (26, [24, 25])}[n]
     assert len(shapes) == count * (count + 1) // 2 and sum(rows) == n + 1
-    # no product of a Gauss grid lands on a node: no snap search at all
+    # no product of a default grid lands on a node: no snap search at all
     assert searched == []
     ref = rowwise_dilation(grid, W)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_dilation_product_snaps_the_node_hits_of_a_built_grid(monkeypatch):
+    # at alpha = beta = 1/2, lam = 1/2 the middle node's square z_44^2 is
+    # exactly a node at N = 88 (likewise the middle node at N = 124, 148 and
+    # 172); it is the one product searched
+    grid = build_grid(88, 0.5, 0.5, 0.5)
+    z = grid.z_points
+    assert np.argwhere(np.isin(np.multiply.outer(z, z), z)).tolist() == [[44, 44]]
+    searched, nearest = [], muntz_basis._nearest
+
+    def search(grid, points):
+        searched.append(points.size)
+        return nearest(grid, points)
+
+    monkeypatch.setattr(muntz_basis, "_nearest", search)
+    W = np.random.default_rng(88).standard_normal((2, 89, 89))
+    got = muntz_basis.dilation_product(grid, W)
+    assert searched == [1]
+    ref = rowwise_dilation(grid, W)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    for n in (124, 148, 172):
+        z = build_grid(n, 0.5, 0.5, 0.5).z_points
+        assert np.argwhere(np.isin(np.multiply.outer(z, z), z)).tolist() == [[n // 2, n // 2]]
+    # the config alpha = beta = 0.5 reaches it; 5.1 (mu = 1/2, lam = 1/2) solves
+    # to 2.3e-15 there
+    row = convergence_sweep(make_example("5.1"), SolverConfig(alpha=0.5, beta=0.5), [88]).rows[0]
+    assert not row.failed and row.linf_e <= 1e-14
+
+
+def test_basis_table_at_the_grids_own_rule_is_the_identity():
+    # at alpha = -1/2, beta = 1 and lam = 1/2 (mu = 1/2), the kernel rule
+    # quad_mu of assemble, with exponents (-mu, 1/lam - 1), is the grid's own
+    # rule: every point lands exactly on a node
+    grid = build_grid(16, -0.5, 1.0, 0.5)
+    quad_mu = to_fractional(gauss_jacobi(17, -0.5, 1.0 / 0.5 - 1.0), 0.5)
+    assert np.array_equal(quad_mu.z_nodes, grid.z_points)
+    assert np.array_equal(basis_matrix_z(grid, quad_mu.z_nodes), np.eye(17))
+
+
+def test_basis_table_snaps_a_near_hit_that_is_not_exact():
+    # the delay points eps^lam z at eps = 1/2, lam = 1: 0.5 z_74 lies 2.8e-17
+    # from the node z_49 without landing on it, and takes its Kronecker row
+    grid = build_grid(148, 0.5, 0.5, 1.0)
+    points = 0.5 * grid.z_points
+    assert not np.isin(points, grid.z_points).any()
+    assert 0.0 < abs(points[74] - grid.z_points[49]) <= muntz_basis._SNAP_TOL
+    table = basis_matrix_z(grid, points)
+    assert np.array_equal(table[74], np.eye(149)[49])

@@ -1,4 +1,4 @@
-"""Run sixteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
+"""Run fifteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -13,13 +13,14 @@ hides the last-ulp wobble ``cond`` can show between processes.
 OUTDIR/environment names the numeric environment the tree was made in: the
 numpy and scipy versions and the BLAS thread settings (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``, each ``unset`` when not set), since
-the solver's bits at N >= 128 depend on the BLAS thread count.  So two trees
-made from the same code in the same environment are identical, and two trees
-made from two versions differ exactly where the default CLI outputs or the
-solver's bits do: run the script once with PYTHONPATH pointing at each
-version's ``src``, under the same settings (for example
-``OPENBLAS_NUM_THREADS=1``), and compare the trees with ``diff -r``.  It uses
-numpy, scipy, the standard library and ``muntzvide`` only.
+the solver's bits at N >= 128 depend on the BLAS thread count.  Run as a
+script, it sets each of the three to 1 before numpy loads, unless it is
+already set; importing it sets nothing.  So two trees made from the same code
+in the same environment are identical, and two trees made from two versions
+differ exactly where the default CLI outputs or the solver's bits do: run the
+script once with PYTHONPATH pointing at each version's ``src`` and compare
+the trees with ``diff -r``.  It uses numpy, scipy, the standard library and
+``muntzvide`` only.
 """
 
 from __future__ import annotations
@@ -31,10 +32,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":
+    # before numpy loads its BLAS, which reads them once
+    for name in THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
 
-from muntzvide import assemble, build_grid, cli, default_lambda, make_example, scale_to_unit, solve
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from muntzvide import assemble, build_grid, cli, default_lambda, make_example, scale_to_unit, solve  # noqa: E402
 
 SWEEP_N = "N = 4:16:2"
 
@@ -49,7 +56,6 @@ RUNS = {
     "sweep-5.1": ("sweep", f"problem = 5.1\n{SWEEP_N}\n"),
     "sweep-5.2": ("sweep", f"problem = 5.2\n{SWEEP_N}\n"),
     "sweep-5.3": ("sweep", f"problem = 5.3\n{SWEEP_N}\n"),
-    "sweep-5.2-printed": ("sweep", f"problem = 5.2\n{SWEEP_N}\nforcing = printed\n"),
     "compare-5.4": ("compare", f"problem = 5.4\n{SWEEP_N}\nref_N = 40\n"),
     "solve-5.1": ("solve", "problem = 5.1\nN = 8\n"),
     "sweep-5.1-mu0.25": ("sweep", f"problem = 5.1\n{SWEEP_N}\nmu = 0.25\n"),
@@ -83,7 +89,6 @@ SOLVES = {
 }
 SYSTEM_FIELDS = ("a", "b", "C", "D", "E", "H", "fvec", "u0")
 SOLUTION_FIELDS = ("u", "u_star", "v")
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def environment_text() -> str:
