@@ -61,7 +61,6 @@ __all__ = [
     "RunSpec",
     "parse_config",
     "run",
-    "emit_plot_data",
     "main",
 ]
 
@@ -201,17 +200,15 @@ def _write_csv(table: ConvergenceTable, path: Path, timing: bool) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_plot_data(table: ConvergenceTable, path) -> None:
+def _write_plot_data(table: ConvergenceTable, path: Path) -> None:
     """Plot-ready columns: N and log10 of each error channel, -inf for a zero error and nan for a NaN one."""
     rows = [r for r in table.rows if not r.failed]
-    if not rows:
-        raise ValueError("cannot emit plot data for an empty table")
 
     def log10(x: float) -> str:
         return f"{math.log10(x):.6f}" if x > 0 else "-inf" if x == 0 else "nan"
 
     lines = [" ".join([str(r.n), *(log10(getattr(r, c)) for c in ERROR_CHANNELS)]) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_nodal_dump(sol, path: Path) -> None:
@@ -260,7 +257,7 @@ def run(spec: RunSpec) -> int:
 
     _write_csv(table, out, spec.timing == "on")
     if spec.mode != "solve" and not all(r.failed for r in table.rows):
-        emit_plot_data(table, plot)
+        _write_plot_data(table, plot)
     for r in table.rows:
         status = f"FAILED: {r.message}" if r.failed else "ok"
         errors = (f"{c.replace('star', '*')}={_fmt_err(getattr(r, c))}" for c in ERROR_CHANNELS)

@@ -5,11 +5,11 @@ At the grid points theta_i the unknowns are the nodal values of the solution
 the delayed solution (v_i).  Every integral is pulled to [0, 1] with
 eta = theta_i * xi^(1/lam), which turns the cardinal functions into ordinary
 polynomials of xi and absorbs the weak singularity into the quadrature
-weight (1-xi)^(-mu) xi^(1/lam - 1).  ``assemble`` builds its two
-(N+1)-point Gauss-Jacobi rules itself, from N, lam and mu:
+weight (1-xi)^(-mu) xi^(1/lam - 1).  ``assemble`` takes its two
+(N+1)-point Gauss-Jacobi rules from N, lam and mu:
 
     * ``quad_mu``  - parameters (-mu, 1/lam - 1), the rule of the kernel rows
-      C, D;
+      C, D, from ``quadrature._kernel_rule`` as the manufactured forcing's is;
     * ``quad_hat`` - parameters (0, 1/lam - 1), the rule of the integration
       rows E, H.
 
@@ -50,7 +50,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .muntz_basis import CollocationGrid, basis_matrix_z, dilation_product
 from .problem import ScaledProblem, sample
-from .quadrature import gauss_jacobi, singular_ratio, to_fractional
+from .quadrature import _kernel_rule, gauss_jacobi, to_fractional
 
 __all__ = [
     "SingularSystemError",
@@ -100,7 +100,7 @@ def assemble(scaled: ScaledProblem, grid: CollocationGrid) -> SystemMatrices:
     """Build all matrices and vectors of the discrete system.
 
     The two (N+1)-point rules, quad_mu and quad_hat (see the module
-    docstring), are built here from ``grid.n``, ``grid.lam`` and
+    docstring), are taken from ``grid.n``, ``grid.lam`` and
     ``scaled.mu``, in parent-variable form: row i samples the basis at
     eta_i(xi_k) = theta_i xi_k^(1/lam), whose exact z coordinate is
     z_i * xi_k, and the weights already absorb (1-xi)^(-mu) xi^(1/lam-1).
@@ -149,15 +149,14 @@ def _table_weights(scaled: ScaledProblem, grid: CollocationGrid, theta: np.ndarr
     """
     lam, mu = grid.lam, scaled.mu
     n1 = grid.n + 1
-    quad_mu = to_fractional(gauss_jacobi(n1, -mu, 1.0 / lam - 1.0), lam)
+    quad_mu, ratio = _kernel_rule(n1, mu, lam)
     quad_hat = to_fractional(gauss_jacobi(n1, 0.0, 1.0 / lam - 1.0), lam)
-    xi, om = quad_mu.z_nodes, quad_mu.weights
     ti = theta[:, None]
     eta = ti * quad_mu.nodes  # theta_i xi_k^(1/lam)
     # transformed kernel weight: (1/lam) theta_i^(1-mu) times the
     # endpoint-stable singular ratio, times the rule weight
-    fac = (ti ** (1.0 - mu) / lam) * singular_ratio(xi, lam, mu) * om
-    phi = basis_matrix_z(grid, xi)
+    fac = (ti ** (1.0 - mu) / lam) * ratio * quad_mu.weights
+    phi = basis_matrix_z(grid, quad_mu.z_nodes)
     W = np.empty((3, theta.size, n1))
     for w, kbar in zip(W, (scaled.kbar1, scaled.kbar2)):
         np.matmul(fac * kbar(ti, eta), phi, out=w)

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import beta, gauss_jacobi, singular_ratio, to_fractional
+from .quadrature import _kernel_rule, beta
 
 __all__ = [
     "VideProblem",
@@ -77,8 +77,8 @@ class VideProblem:
     """One equation instance on [0, T].
 
     ``k1``/``k2`` include any sign in front of their integral; ``exact`` and
-    ``exact_deriv`` are optional closed-form y and y'.  The forcing ``f1`` is
-    required: a non-callable one raises ``ValueError``, here or in ``replace``.
+    ``exact_deriv`` are optional closed-form y and y'.  The terms a1, b1, f1,
+    k1 and k2 are required: a non-callable one raises ``ValueError``, here or in ``replace``.
     """
 
     a1: ArrayFn
@@ -95,8 +95,9 @@ class VideProblem:
     label: str = ""
 
     def __post_init__(self):
-        if not callable(self.f1):
-            raise ValueError(f"f1 must be a callable forcing, got {self.f1!r}")
+        for name in ("a1", "b1", "f1", "k1", "k2"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
         _validate_parameters(mu=self.mu, eps=self.eps, T=self.T, y0=self.y0)
 
 
@@ -215,13 +216,6 @@ def _dyadic_rule(mu: float):
     return nodes, weights
 
 
-def _mapped_rule(mu: float):
-    """Gauss-Jacobi rule in xi = (s/t)^lam, lam = default_lambda(mu); it absorbs the singular weight."""
-    lam = default_lambda(mu)
-    rule = to_fractional(gauss_jacobi(_ORACLE_POINTS, -mu, 1.0 / lam - 1.0), lam)
-    return rule.nodes, rule.weights * singular_ratio(rule.z_nodes, lam, mu) / lam
-
-
 def _apply_rule(rule, t, g: ArrayFn, mu: float):
     """t^(1-mu) * sum_k W_k g(t u_k) at every t of the array, 0 where t <= 0.
 
@@ -261,8 +255,10 @@ def manufactured_forcing(
     the oracle's value (1e-9 absolute where |I| <= 1, relative above it; a
     NaN never agrees), ``OracleDisagreement`` names the first t that fails.
     """
-    mu, eps = skeleton.mu, skeleton.eps
-    mapped = _mapped_rule(mu)
+    mu, eps, lam = skeleton.mu, skeleton.eps, default_lambda(skeleton.mu)
+    # the kernel rule in xi = (s/t)^lam absorbs the singular weight
+    rule, ratio = _kernel_rule(_ORACLE_POINTS, mu, lam)
+    mapped = rule.nodes, rule.weights * ratio / lam
     oracles = exact_integrals or (None, None)
 
     def f1(t):

@@ -183,3 +183,9 @@ def singular_ratio(xi, lam: float, mu: float):
         return 1.0 if np.ndim(xi) == 0 else np.ones_like(np.asarray(xi, dtype=float))
     xi = np.asarray(xi, dtype=float)
     return np.exp(-mu * (np.log(-np.expm1(np.log(xi) / lam)) - np.log1p(-xi)))[()]
+
+
+def _kernel_rule(npts: int, mu: float, lam: float):
+    """The weakly singular kernel rule, for the weight (1-xi)^(-mu) xi^(1/lam-1), and ``singular_ratio`` at its z nodes."""
+    rule = to_fractional(gauss_jacobi(npts, -mu, 1.0 / lam - 1.0), lam)
+    return rule, singular_ratio(rule.z_nodes, lam, mu)

@@ -89,6 +89,12 @@ def test_linf_zero_and_parabola():
             linf_error(lambda t: 0.0, grid_size)
 
 
+def test_linf_sees_a_layer_at_the_origin():
+    # the sup grid starts at 1e-12, so an error confined to t < 1e-4, where the
+    # weak singularity sits, is seen at its full size
+    assert linf_error(lambda t: np.exp(-t / 1e-5), 2001) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_norms_call_err_fn_once_on_all_points():
     calls = []
 
@@ -273,6 +279,15 @@ def test_fit_rates_synthetic_algebraic():
     report = fit_rates(table)
     fit = report.channels["linf_e"]
     assert fit.slope_loglog == pytest.approx(-2.0, abs=1e-6)
+    assert report.classification == "algebraic"
+
+
+def test_fit_rates_needs_r2_of_095_for_exponential():
+    # a fast but ragged decay: r2_n 0.917 lies below the 0.95 threshold
+    table = synthetic_table(list(zip((4, 6, 8, 10, 12), (2e-4, 2e-5, 3e-9, 6e-9, 2e-11))))
+    report = fit_rates(table)
+    fit = report.channels["linf_e"]
+    assert 0.90 < fit.r2_n < 0.95 and fit.slope_n < -0.5
     assert report.classification == "algebraic"
 
 

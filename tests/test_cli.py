@@ -20,7 +20,7 @@ from muntzvide.cli import (
     MODES,
     ConfigError,
     RunSpec,
-    emit_plot_data,
+    _write_plot_data,
     main,
     parse_config,
     run,
@@ -382,18 +382,16 @@ def test_every_row_rendering_is_pinned(tmp_path, monkeypatch, capsys):
     # an unmeasured (NaN) error is nan, as in the CSV; an exact zero is -inf
     plot = "4 -2.908485 -1.698970 -inf -9.005395\n8 nan nan nan nan\n10 -inf -inf -inf -inf\n"
     assert (tmp_path / "pin.plot.dat").read_text() == plot
-    emit_plot_data(table, tmp_path / "direct.dat")
+    _write_plot_data(table, tmp_path / "direct.dat")
     assert (tmp_path / "direct.dat").read_text() == plot
 
 
-def test_emit_plot_data_edge_cases(tmp_path):
-    with pytest.raises(ValueError):
-        emit_plot_data(ConvergenceTable(rows=[]), tmp_path / "x.dat")
+def test_write_plot_data_edge_cases(tmp_path):
     single = ConvergenceTable(
         rows=[SweepRow(n=4, l2_e=1e-3, linf_e=1e-2, l2_estar=1e-3, linf_estar=1e-2, runtime_ms=1.0)]
     )
     path = tmp_path / "one.dat"
-    emit_plot_data(single, path)
+    _write_plot_data(single, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].split()[0] == "4"
@@ -647,7 +645,7 @@ SNAPSHOT_TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py
 
 def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
     # tools/cli_snapshot.py: fifteen default CLI runs over the three modes
-    # and 34 solves' systems and solutions, the byte-identity check between
+    # and 35 solves' systems and solutions, the byte-identity check between
     # two versions of the code
     spec = importlib.util.spec_from_file_location("cli_snapshot", SNAPSHOT_TOOL)
     tool = importlib.util.module_from_spec(spec)
@@ -664,7 +662,7 @@ def test_cli_snapshot_trees_are_identical_run_to_run(tmp_path):
     # five files per run; two of the runs that exit 1 write no plot data, two
     # stop on a solver error and, like the run that exits 2, write no results;
     # twelve files per solve; and the tree's one environment file
-    assert len(a) == 5 * 15 - 2 - 2 * 2 - 2 + 12 * 34 + 1
+    assert len(a) == 5 * 15 - 2 - 2 * 2 - 2 + 12 * 35 + 1
     assert a["environment"] == tool.environment_text().encode()
     assert not any(str(tmp_path).encode() in data for data in a.values())
 

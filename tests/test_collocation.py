@@ -196,7 +196,7 @@ def rowwise_assembly(scaled, grid, qmu, qhat):
 
 
 def kernel_problem(mu, constant=False, eps=0.6):
-    if constant:  # as the CLI kernel tables write them
+    if constant:  # constant returns, which the solver broadcasts
         k1, k2 = (lambda t, s: 1.0), (lambda t, s: -1.0)
     else:
         k1, k2 = (lambda t, s: np.cos(t - s) + s), (lambda t, s: np.exp(-t * s))
@@ -336,7 +336,7 @@ def test_assemble_requires_forcing():
     # assemble never meets one
     p = make_example("5.1")
     for f1 in (None, 0.0):
-        with pytest.raises(ValueError, match=f"^f1 must be a callable forcing, got {f1}$"):
+        with pytest.raises(ValueError, match=f"^f1 must be callable, got {f1}$"):
             VideProblem(a1=p.a1, b1=p.b1, f1=f1, k1=p.k1, k2=p.k2, mu=p.mu, eps=p.eps, T=p.T, y0=p.y0)
 
 

@@ -22,7 +22,8 @@ from muntzvide import (
     solve_once,
 )
 from muntzvide import problem
-from muntzvide.problem import _apply_rule, _dyadic_rule, _mapped_rule, sample
+from muntzvide.problem import _ORACLE_POINTS, _apply_rule, _dyadic_rule, sample
+from muntzvide.quadrature import _kernel_rule
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +76,14 @@ def test_problem_validation():
         mk(mu=0.5, eps=0.5, T=1.0, y0=math.nan)
 
 
+@pytest.mark.parametrize("name", ["a1", "b1", "f1", "k1", "k2"])
+@pytest.mark.parametrize("value", [2.0, None])
+def test_problem_refuses_a_term_that_is_not_callable(name, value):
+    # refused when built (replace builds anew), not by a TypeError inside assemble
+    with pytest.raises(ValueError, match=f"^{name} must be callable, got {value}$"):
+        dataclasses.replace(make_example("5.4"), **{name: value})
+
+
 def test_problem_lambda_defaults_to_heuristic():
     zero, kernel = (lambda t: 0.0), (lambda t, s: 0.0)
     kw = dict(a1=zero, b1=zero, f1=zero, k1=kernel, k2=kernel, eps=0.5, T=1.0, y0=0.0)
@@ -90,6 +99,16 @@ def test_default_lambda_heuristic():
     assert default_lambda(0.0) == 1.0
     # 0.95 = 19/20: its denominator exceeds 16, so it falls back to 1/2
     assert default_lambda(0.95) == 0.5
+
+
+def test_default_lambda_matches_denominators_up_to_16():
+    # 0.9 = 9/10: a denominator above 8 still gives its own lam
+    assert default_lambda(0.9) == 1 / 10
+
+
+def test_default_lambda_matches_to_1e_12():
+    # a mu 1e-6 off 1/3 is not 1/3, so it falls back to 1/2
+    assert default_lambda(1 / 3 + 1e-6) == 1 / 2
 
 
 # --- rescaling ------------------------------------------------------------------
@@ -404,9 +423,11 @@ def test_wrong_closed_form_is_caught(registry_oracles, dyadic_calls):
 
 @pytest.mark.parametrize("key", ["5.1", "5.2", "5.3"])
 def test_registry_forcing_value_is_the_mapped_rule(key, dyadic_calls):
-    # the closed forms only check: the value is the mapped rule's, bit for bit
+    # the closed forms only check: the value is the kernel rule's, bit for bit
     p = make_example(key)
-    y, mapped = p.exact, _mapped_rule(p.mu)
+    lam = default_lambda(p.mu)
+    rule, ratio = _kernel_rule(_ORACLE_POINTS, p.mu, lam)
+    y, mapped = p.exact, (rule.nodes, rule.weights * ratio / lam)
     for t in (np.float64(0.3 * p.T), np.linspace(0.0, p.T, 9)):
         i1 = _apply_rule(mapped, t, lambda s: p.k1(t[..., None], s) * y(s), p.mu)
         i2 = _apply_rule(mapped, p.eps * t, lambda s: p.k2(t[..., None], s) * y(s), p.mu)
@@ -430,7 +451,7 @@ def test_corrected_forcing_residuals(key):
 
 def test_scaled_residual_needs_a_forcing():
     # replace runs the construction check, so no scaled problem lacks its f_t
-    with pytest.raises(ValueError, match="^f1 must be a callable forcing, got None$"):
+    with pytest.raises(ValueError, match="^f1 must be callable, got None$"):
         dataclasses.replace(make_example("5.4"), f1=None)
 
 

@@ -1,4 +1,4 @@
-"""Run fifteen fixed CLI configs and 34 fixed solves in process and write their outputs to a tree.
+"""Run fifteen fixed CLI configs and 35 fixed solves in process and write their outputs to a tree.
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
@@ -71,21 +71,28 @@ RUNS = {
     "sweep-5.1-lambda1.5": ("sweep", f"problem = 5.1\n{SWEEP_N}\nlambda = 1.5\n"),
 }
 
-# case -> (example, overrides, N, lam), on the default grid exponents
-# alpha = beta = -0.5; lam None is default_lambda(mu) (1/2 for 5.1, 5.3 and
-# 5.4, 1/3 for 5.2).  N = 49 is the largest one-tile dilation table.
+DEFAULT_EXPONENTS = (-0.5, -0.5)  # (alpha, beta)
+# case -> (example, overrides, N, lam, grid exponents); lam None is
+# default_lambda(mu) (1/2 for 5.1, 5.3 and 5.4, 1/3 for 5.2).  N = 49 is the
+# largest one-tile dilation table.  No product z_i z_l of a default grid lands
+# on a node; at alpha = beta = 1/2, N = 88 and lam = 1/2, z_44^2 is exactly
+# z_29, so that case reaches the dilation table's node-hit branch.
 SOLVES = {
-    **{f"{key}-N{n}": (key, {}, n, None) for key in ("5.1", "5.2", "5.3", "5.4") for n in (8, 16, 49, 64, 128, 192)},
-    "5.4-T5-N128": ("5.4", {"T": 5.0}, 128, None),
-    "5.4-eps1e-3-N32": ("5.4", {"eps": 1e-3}, 32, None),
-    "5.4-eps0.999-N32": ("5.4", {"eps": 0.999}, 32, None),
-    "5.3-eps0.25-N96": ("5.3", {"eps": 0.25}, 96, None),
-    "5.1-printed-N8": ("5.1", {"forcing": "printed"}, 8, None),
-    "5.2-mu0.25-N16": ("5.2", {"mu": 0.25}, 16, None),
-    "5.1-lam1-N16": ("5.1", {}, 16, 1.0),
-    "5.4-lam1-N64": ("5.4", {}, 64, 1.0),
-    "5.3-lam1over3-N32": ("5.3", {}, 32, 1.0 / 3.0),
-    "5.4-lam1over3-N128": ("5.4", {}, 128, 1.0 / 3.0),
+    **{
+        f"{key}-N{n}": (key, {}, n, None, DEFAULT_EXPONENTS)
+        for key in ("5.1", "5.2", "5.3", "5.4") for n in (8, 16, 49, 64, 128, 192)
+    },
+    "5.4-T5-N128": ("5.4", {"T": 5.0}, 128, None, DEFAULT_EXPONENTS),
+    "5.4-eps1e-3-N32": ("5.4", {"eps": 1e-3}, 32, None, DEFAULT_EXPONENTS),
+    "5.4-eps0.999-N32": ("5.4", {"eps": 0.999}, 32, None, DEFAULT_EXPONENTS),
+    "5.3-eps0.25-N96": ("5.3", {"eps": 0.25}, 96, None, DEFAULT_EXPONENTS),
+    "5.1-printed-N8": ("5.1", {"forcing": "printed"}, 8, None, DEFAULT_EXPONENTS),
+    "5.2-mu0.25-N16": ("5.2", {"mu": 0.25}, 16, None, DEFAULT_EXPONENTS),
+    "5.1-lam1-N16": ("5.1", {}, 16, 1.0, DEFAULT_EXPONENTS),
+    "5.4-lam1-N64": ("5.4", {}, 64, 1.0, DEFAULT_EXPONENTS),
+    "5.3-lam1over3-N32": ("5.3", {}, 32, 1.0 / 3.0, DEFAULT_EXPONENTS),
+    "5.4-lam1over3-N128": ("5.4", {}, 128, 1.0 / 3.0, DEFAULT_EXPONENTS),
+    "5.1-ab0.5-N88": ("5.1", {}, 88, None, (0.5, 0.5)),
 }
 SYSTEM_FIELDS = ("a", "b", "C", "D", "E", "H", "fvec", "u0")
 SOLUTION_FIELDS = ("u", "u_star", "v")
@@ -100,9 +107,9 @@ def environment_text() -> str:
 
 def solver_snapshot(outdir) -> None:
     """Write every solve of ``SOLVES`` under ``outdir``, one directory per case."""
-    for name, (key, overrides, n, lam) in SOLVES.items():
+    for name, (key, overrides, n, lam, (alpha, beta)) in SOLVES.items():
         problem = make_example(key, **overrides)
-        grid = build_grid(n, -0.5, -0.5, default_lambda(problem.mu) if lam is None else lam)
+        grid = build_grid(n, alpha, beta, default_lambda(problem.mu) if lam is None else lam)
         sysm = assemble(scale_to_unit(problem), grid)
         sol = solve(sysm)
         case_dir = Path(outdir) / name
