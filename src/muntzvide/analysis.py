@@ -9,21 +9,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collocation import DiscreteSolution, SingularSystemError, assemble, solve
+from .collocation import DiscreteSolution, assemble, solve
 from .muntz_basis import build_grid, interpolate
 from .problem import (
-    OracleDisagreement,
     VideProblem,
     default_lambda,
     exact_phi_pair,
     sample,
     scale_to_unit,
 )
-from .quadrature import QuadratureError, _validate_count, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
+from .quadrature import SolverError, _validate_count, _validate_exponents, _validate_lam, gauss_jacobi, to_fractional
 
 __all__ = [
     "ERROR_CHANNELS",
-    "SOLVER_ERRORS",
     "SolverConfig",
     "SweepRow",
     "ConvergenceTable",
@@ -45,11 +43,6 @@ _LINF_LEFT = 1e-12
 
 # weighted L2 and sup norm of y (phi), then of y' (phi*), in SweepRow's order
 ERROR_CHANNELS = ("l2_e", "linf_e", "l2_estar", "linf_estar")
-
-# the solver's own failures, the only ways a solve fails: a rule or grid that
-# cannot be formed, a singular system, disagreeing forcing oracles
-SOLVER_ERRORS = (QuadratureError, SingularSystemError, OracleDisagreement)
-
 
 class InsufficientDataError(ValueError):
     """Not enough successful sweep rows to fit a rate."""
@@ -214,8 +207,8 @@ def convergence_sweep(
     """One solve and one ``error_row`` per N, against a reference if given, else the exact solution.
 
     Every N must be an integer (a bool is not) of at least 1, checked before
-    the first solve.  A solve that fails with one of ``SOLVER_ERRORS`` marks
-    its row instead of aborting the sweep; any other exception propagates.
+    the first solve.  A solve that fails with a ``SolverError`` marks its row
+    instead of aborting the sweep; any other exception propagates.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -228,7 +221,7 @@ def convergence_sweep(
         try:
             _, sol, runtime_ms = solve_once(problem, n, config)
             row = error_row(problem, sol, config, reference, runtime_ms)
-        except SOLVER_ERRORS as exc:
+        except SolverError as exc:
             row = SweepRow(n, failed=True, message=str(exc))
         table.rows.append(row)
     return table

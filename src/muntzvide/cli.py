@@ -26,8 +26,8 @@ the ``ConfigError``: ``lambda``, ``alpha``, ``beta``, ``linf_grid`` and
 ``VideProblem``'s, and ``ref_N`` is taken in compare mode only.
 
 Exit status: 0 when every row succeeded, 1 when a sweep row failed or a
-``solve`` or ``compare`` solve raised a solver error (one ``error:`` line, no
-CSV), 2 for a configuration error or an output file that cannot be written.
+``solve`` or ``compare`` solve raised a ``SolverError`` (one ``error:`` line,
+no CSV), 2 for a configuration error or an output file that cannot be written.
 A missing or unwritable output directory, or a directory at any of the
 three names, is reported before any solve.
 """
@@ -45,7 +45,6 @@ from typing import Iterable, Optional, Sequence
 
 from .analysis import (
     ERROR_CHANNELS,
-    SOLVER_ERRORS,
     ConvergenceTable,
     SolverConfig,
     SweepRow,
@@ -55,6 +54,7 @@ from .analysis import (
     solve_once,
 )
 from .problem import EXAMPLE_KEYS, _validate_parameters, exact_phi_pair, make_example
+from .quadrature import SolverError
 
 __all__ = [
     "ConfigError",
@@ -291,9 +291,9 @@ def main(argv=None) -> int:
         # the positional mode comes last, so it wins over --set mode=...
         spec = parse_config(text, [*args.set, f"mode={args.command}"])
         return run(spec)
-    except (ValueError, OSError, *SOLVER_ERRORS) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, SolverError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, SOLVER_ERRORS) else 2
+        return 1 if isinstance(exc, SolverError) else 2
 
 
 if __name__ == "__main__":

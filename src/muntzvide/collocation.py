@@ -50,7 +50,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .muntz_basis import CollocationGrid, basis_matrix_z, dilation_product
 from .problem import ScaledProblem, sample
-from .quadrature import _kernel_rule, gauss_jacobi, to_fractional
+from .quadrature import SolverError, _kernel_rule, gauss_jacobi, to_fractional
 
 __all__ = [
     "SingularSystemError",
@@ -63,7 +63,7 @@ __all__ = [
 _COND_LIMIT = 1e14
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(SolverError):
     """The reduced collocation matrix is singular or hopelessly conditioned."""
 
     def __init__(self, message: str, cond: float):
@@ -165,15 +165,16 @@ def _table_weights(scaled: ScaledProblem, grid: CollocationGrid, theta: np.ndarr
     return W
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(sysm: SystemMatrices) -> DiscreteSolution:
     """Solve the reduced system and back-substitute U and V.
 
     Eliminating U and V gives [I - (A+C+D)E - BH] U* = (A+C+D+B) U0 + F,
     solved by dense LU with partial pivoting.  The condition number is the
     1-norm estimate LAPACK ``gecon`` takes from the same LU factors and the
-    matrix's 1-norm from ``lange``; a non-finite matrix or right-hand side,
-    an exact zero pivot or an estimate above ``_COND_LIMIT`` raises
-    ``SingularSystemError``.
+    matrix's 1-norm from ``lange``; a non-finite matrix, right-hand side or
+    U*, U or V, an exact zero pivot or an estimate above ``_COND_LIMIT`` raises
+    ``SingularSystemError``, with no numpy overflow or invalid warning first.
     """
     n1 = sysm.fvec.shape[0]
     G = np.diag(sysm.a) + sysm.C + sysm.D
@@ -198,4 +199,6 @@ def solve(sysm: SystemMatrices) -> DiscreteSolution:
     u_star, _ = getrs(lu, piv, rhs)  # info flags only an illegal argument
     u = sysm.u0 + sysm.E @ u_star
     v = sysm.u0 + sysm.H @ u_star
+    if not (np.isfinite(u_star).all() and np.isfinite(u).all() and np.isfinite(v).all()):
+        raise SingularSystemError("solution has non-finite entries", cond)
     return DiscreteSolution(u_star=u_star, u=u, v=v, grid=sysm.grid, cond=cond)

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import _kernel_rule, beta
+from .quadrature import SolverError, _kernel_rule, beta
 
 __all__ = [
     "VideProblem",
@@ -63,7 +63,7 @@ ArrayFn = Callable[[np.ndarray], np.ndarray]
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-class OracleDisagreement(RuntimeError):
+class OracleDisagreement(SolverError):
     """A manufactured forcing's quadrature value fails its oracle check."""
 
 
@@ -77,8 +77,8 @@ class VideProblem:
     """One equation instance on [0, T].
 
     ``k1``/``k2`` include any sign in front of their integral; ``exact`` and
-    ``exact_deriv`` are optional closed-form y and y'.  The terms a1, b1, f1,
-    k1 and k2 are required: a non-callable one raises ``ValueError``, here or in ``replace``.
+    ``exact_deriv``, a closed-form y and y', are both callable or both None,
+    and a1, b1, f1, k1 and k2 are callable: else ``ValueError``, here or in ``replace``.
     """
 
     a1: ArrayFn
@@ -98,6 +98,10 @@ class VideProblem:
         for name in ("a1", "b1", "f1", "k1", "k2"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
+        for name, other in (("exact", "exact_deriv"), ("exact_deriv", "exact")):
+            value = getattr(self, name)
+            if not (callable(value) or (value is None and getattr(self, other) is None)):
+                raise ValueError(f"{name} must be callable, or None with {other}, got {value!r}")
         _validate_parameters(mu=self.mu, eps=self.eps, T=self.T, y0=self.y0)
 
 
@@ -139,9 +143,12 @@ class ScaledProblem:
 
 
 def scale_to_unit(p: VideProblem) -> ScaledProblem:
-    """Rescale a problem from [0, T] to [0, 1]."""
+    """Rescale a problem from [0, T] to [0, 1]; ``SolverError`` when T^(2-mu) overflows a float."""
     T, mu, eps = p.T, p.mu, p.eps
-    c1 = T ** (2.0 - mu)
+    try:
+        c1 = T ** (2.0 - mu)
+    except OverflowError:
+        raise SolverError(f"T={T} is too long to rescale: T^(2-mu) overflows a float at mu={mu}") from None
     c2 = eps ** (1.0 - mu) * c1
     return ScaledProblem(
         a_t=lambda th: T * p.a1(T * th),
@@ -157,7 +164,7 @@ def scale_to_unit(p: VideProblem) -> ScaledProblem:
 
 def exact_phi_pair(p: VideProblem):
     """(phi, phi') on [0, 1] from the closed-form solution, or None."""
-    if p.exact is None or p.exact_deriv is None:
+    if p.exact is None:
         return None
     T, y, yp = p.T, p.exact, p.exact_deriv
     return (lambda th: y(T * th)), (lambda th: T * yp(T * th))

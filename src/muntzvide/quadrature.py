@@ -26,6 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "beta",
+    "SolverError",
     "QuadratureError",
     "QuadratureRule",
     "FractionalRule",
@@ -56,7 +57,11 @@ def beta(a: float, b: float) -> float:
 _beta_fn = beta
 
 
-class QuadratureError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solve of a valid problem fails; every failure of a solve is one, so catching it catches them all."""
+
+
+class QuadratureError(SolverError):
     """A rule or grid cannot be formed: bad nodes or weights, an overflowing
     mass, or collapsing collocation points (``muntz_basis.build_grid``)."""
 

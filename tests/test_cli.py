@@ -552,6 +552,17 @@ def test_solver_error_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_horizon_too_long_to_rescale_is_one_error_line_and_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "none.csv"
+    cfg.write_text(f"problem = 5.4\nN = 4:8:2\nref_N = 12\nT = 1e300\noutput = {out}\n")
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: T=1e+300 is too long to rescale: T^(2-mu) overflows a float at mu=0.5"
+    ]
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_unwritable_output_is_one_error_line_and_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "missing" / "x.csv"

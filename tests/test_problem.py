@@ -84,6 +84,15 @@ def test_problem_refuses_a_term_that_is_not_callable(name, value):
         dataclasses.replace(make_example("5.4"), **{name: value})
 
 
+@pytest.mark.parametrize("name, other", [("exact", "exact_deriv"), ("exact_deriv", "exact")])
+@pytest.mark.parametrize("value", [2.0, None])
+def test_problem_refuses_a_bad_or_half_closed_form(name, other, value):
+    # refused when built: a non-callable closed form would fail a sweep with a
+    # TypeError, and half of one would leave 5.1 without a closed form
+    with pytest.raises(ValueError, match=f"^{name} must be callable, or None with {other}, got {value}$"):
+        dataclasses.replace(make_example("5.1"), **{name: value})
+
+
 def test_problem_lambda_defaults_to_heuristic():
     zero, kernel = (lambda t: 0.0), (lambda t, s: 0.0)
     kw = dict(a1=zero, b1=zero, f1=zero, k1=kernel, k2=kernel, eps=0.5, T=1.0, y0=0.0)
