@@ -36,12 +36,13 @@ the consumer reports non-finite output (``solve`` raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureError, _validate_count, gauss_jacobi, to_fractional
+from .quadrature import _RULE_CACHE_SIZE, QuadratureError, _validate_count, gauss_jacobi, to_fractional
 
 __all__ = [
     "CollocationGrid",
@@ -68,12 +69,15 @@ class CollocationGrid:
     bary_weights: np.ndarray
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
     """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data.
 
     Raises ``QuadratureError``, which fails a sweep's row, when the mapped
     nodes theta_j = z_j^(1/lam) are not positive and strictly increasing, as
-    when a small lam underflows the first ones to zero.
+    when a small lam underflows the first ones to zero.  Cached as
+    ``gauss_jacobi`` is: a repeat call returns the same grid, and a failing
+    call raises every time.
     """
     _validate_count("n", n, 1)
     frac = to_fractional(gauss_jacobi(n + 1, alpha, beta), lam)

@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 
-# rules kept by gauss_jacobi; a sweep over N needs three per N plus its L2 rule
+# entries kept by each of the four rule and grid caches (gauss_jacobi,
+# to_fractional, _kernel_rule, muntz_basis.build_grid); per N a sweep needs one
+# grid, one kernel rule and one hat rule, plus one L2 rule per L2 size.  A test
+# that patches a rule constructor clears them first (``cache_clear()``).
 _RULE_CACHE_SIZE = 128
 
 
@@ -165,8 +168,9 @@ def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(alpha=alpha, beta=beta, nodes=nodes, weights=weights)
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
-    """Map a rule on [-1, 1] to the lambda-power rule on [0, 1]."""
+    """Map a rule on [-1, 1] to the lambda-power rule on [0, 1], cached by rule object and lam."""
     _validate_lam(lam)
     z = 0.5 * (rule.nodes + 1.0)
     theta = z ** (1.0 / lam)
@@ -190,7 +194,10 @@ def singular_ratio(xi, lam: float, mu: float):
     return np.exp(-mu * (np.log(-np.expm1(np.log(xi) / lam)) - np.log1p(-xi)))[()]
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 def _kernel_rule(npts: int, mu: float, lam: float):
     """The weakly singular kernel rule, for the weight (1-xi)^(-mu) xi^(1/lam-1), and ``singular_ratio`` at its z nodes."""
     rule = to_fractional(gauss_jacobi(npts, -mu, 1.0 / lam - 1.0), lam)
-    return rule, singular_ratio(rule.z_nodes, lam, mu)
+    ratio = singular_ratio(rule.z_nodes, lam, mu)
+    ratio.flags.writeable = False
+    return rule, ratio

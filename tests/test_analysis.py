@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from muntzvide import (
+    ERROR_CHANNELS,
     ConvergenceTable,
     InsufficientDataError,
     SolverConfig,
@@ -21,6 +22,7 @@ from muntzvide import (
     solve_once,
     weighted_l2_error,
 )
+from muntzvide import muntz_basis, quadrature
 from muntzvide.analysis import error_row
 
 
@@ -443,3 +445,23 @@ def test_a_given_reference_wins_over_the_closed_form():
     # a given reference's order is checked even when a closed form exists
     with pytest.raises(ValueError, match="reference order 10 must exceed the solve order 10"):
         convergence_sweep(p, config, [10], reference=ref)
+
+
+def test_a_warm_cache_solve_is_bitwise_a_cold_one():
+    caches = (quadrature.gauss_jacobi, quadrature.to_fractional, quadrature._kernel_rule, muntz_basis.build_grid)
+
+    def run():
+        _, sol, _ = solve_once(make_example("5.4"), 64, SolverConfig())
+        (row,) = convergence_sweep(make_example("5.2"), SolverConfig(), [10]).rows
+        return sol, row
+
+    first, _ = run()
+    sol_w, row_w = run()  # every rule and grid is a cache hit
+    for cache in caches:
+        cache.cache_clear()
+    sol_c, row_c = run()
+    assert sol_w.grid is first.grid and sol_c.grid is not first.grid
+    for name in ("u", "u_star", "v"):
+        assert np.array_equal(getattr(sol_w, name), getattr(sol_c, name))
+    assert not row_c.failed
+    assert all(getattr(row_w, name) == getattr(row_c, name) for name in ERROR_CHANNELS)

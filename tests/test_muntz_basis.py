@@ -76,11 +76,29 @@ def test_build_grid_validates():
         build_grid(0, -0.5, -0.5, 0.5)
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [14, 64, 128])
 def test_build_grid_rejects_collapsed_points(n):
-    # at lam = 1/128 theta_0 = z_0^128 underflows to 0 and repeats
-    with pytest.raises(QuadratureError, match=f"N={n}, lam=0.0078125"):
-        build_grid(n, -0.5, -0.5, 1.0 / 128.0)
+    # at lam = 1/128 theta_0 = z_0^128 underflows to 0 and repeats; a failure
+    # is not cached, so the second call raises too
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match=f"N={n}, lam=0.0078125"):
+            build_grid(n, -0.5, -0.5, 1.0 / 128.0)
+
+
+def test_repeat_grid_is_the_cached_object():
+    grid = build_grid(9, -0.5, 1.0, 0.5)
+    assert build_grid(9, -0.5, 1.0, 0.5) is grid
+    for arr in (grid.points, grid.z_points, grid.bary_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_float_count_is_refused_after_the_int_is_cached():
+    # 4.0 equals the cached key 4, but it is not a count
+    build_grid(4, -0.5, -0.5, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_grid(4.0, -0.5, -0.5, 0.5)
 
 
 def test_build_grid_keeps_tiny_distinct_points():

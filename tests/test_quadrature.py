@@ -10,6 +10,7 @@ from muntzvide import (
     singular_ratio,
     to_fractional,
 )
+from muntzvide.quadrature import _kernel_rule
 
 PAIRS = [(0.0, 0.0), (-0.5, -0.5), (-1.0 / 3.0, 2.0), (-0.5, 1.0)]
 
@@ -198,6 +199,39 @@ def test_invalid_rule_requests_raise_on_every_call():
 
 
 # --- fractional rules --------------------------------------------------------
+
+
+def test_repeat_fractional_rule_is_the_cached_object():
+    rule = gauss_jacobi(17, -0.5, 1.0)
+    frac = to_fractional(rule, 0.5)
+    assert to_fractional(rule, 0.5) is frac
+    # the key is the parent rule object, which gauss_jacobi hands out once
+    assert to_fractional(gauss_jacobi(17, -0.5, 1.0), 0.5) is frac
+    for arr in (frac.nodes, frac.weights, frac.z_nodes):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_invalid_lambda_raises_on_every_call():
+    rule = gauss_jacobi(6, 0.0, 0.0)
+    to_fractional(rule, 1.0)
+    for lam in (1.5, 0.0, math.nan):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lam must lie in"):
+                to_fractional(rule, lam)
+
+
+# general formula, mu = 0 and lam = 1 (the ones array)
+@pytest.mark.parametrize("mu, lam", [(0.5, 0.5), (0.0, 0.5), (0.5, 1.0)])
+def test_repeat_kernel_rule_is_the_cached_object(mu, lam):
+    rule, ratio = _kernel_rule(12, mu, lam)
+    again = _kernel_rule(12, mu, lam)
+    assert again[0] is rule and again[1] is ratio
+    assert rule is to_fractional(gauss_jacobi(12, -mu, 1.0 / lam - 1.0), lam)
+    assert np.array_equal(ratio, singular_ratio(rule.z_nodes, lam, mu))
+    for arr in (rule.nodes, rule.weights, rule.z_nodes, ratio):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_lambda_one_is_affine():
