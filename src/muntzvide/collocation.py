@@ -11,7 +11,7 @@ weight (1-xi)^(-mu) xi^(1/lam - 1).  ``assemble`` takes its two
     * ``quad_mu``  - parameters (-mu, 1/lam - 1), the rule of the kernel rows
       C, D, from ``quadrature._kernel_rule`` as the manufactured forcing's is;
     * ``quad_hat`` - parameters (0, 1/lam - 1), the rule of the integration
-      rows E, H.
+      rows E, H: the kernel rule at mu = 0, from ``_kernel_rule`` too.
 
 Row i samples the basis at z_i xi for the rule's nodes xi.  Each F_j is a
 degree-N polynomial in z, so interpolating y -> F_j(z_i y) on the grid gives
@@ -50,7 +50,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .muntz_basis import CollocationGrid, basis_matrix_z, dilation_product
 from .problem import ScaledProblem, sample
-from .quadrature import SolverError, _kernel_rule, gauss_jacobi, to_fractional
+from .quadrature import SolverError, _kernel_rule
 
 __all__ = [
     "SingularSystemError",
@@ -146,11 +146,12 @@ def _table_weights(scaled: ScaledProblem, grid: CollocationGrid, theta: np.ndarr
     """W[c, i, l], the weight of F_l(z_i xi) in row theta_i of C, D~ and E / (theta / lam).
 
     Its shape is (3, theta.size, N+1); the quadrature-side arrays die on return.
+    Both rules come from ``_kernel_rule``: quad_hat is the kernel rule at mu = 0.
     """
     lam, mu = grid.lam, scaled.mu
     n1 = grid.n + 1
     quad_mu, ratio = _kernel_rule(n1, mu, lam)
-    quad_hat = to_fractional(gauss_jacobi(n1, 0.0, 1.0 / lam - 1.0), lam)
+    quad_hat = _kernel_rule(n1, 0.0, lam)[0]
     ti = theta[:, None]
     eta = ti * quad_mu.nodes  # theta_i xi_k^(1/lam)
     # transformed kernel weight: (1/lam) theta_i^(1-mu) times the

@@ -36,13 +36,12 @@ the consumer reports non-finite output (``solve`` raises
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _RULE_CACHE_SIZE, QuadratureError, _validate_count, gauss_jacobi, to_fractional
+from .quadrature import QuadratureError, _cached, _validate_count, gauss_jacobi, to_fractional
 
 __all__ = [
     "CollocationGrid",
@@ -69,7 +68,7 @@ class CollocationGrid:
     bary_weights: np.ndarray
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
+@_cached
 def build_grid(n: int, alpha: float, beta: float, lam: float) -> CollocationGrid:
     """Grid of the N+1 lambda-mapped Gauss-Jacobi nodes plus barycentric data.
 

@@ -32,7 +32,6 @@ shape for callers that need a full array.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, replace
@@ -41,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import SolverError, _kernel_rule, beta
+from .quadrature import SolverError, _cached, _kernel_rule, beta
 
 __all__ = [
     "VideProblem",
@@ -146,7 +145,7 @@ def scale_to_unit(p: VideProblem) -> ScaledProblem:
     """Rescale a problem from [0, T] to [0, 1]; ``SolverError`` when T^(2-mu) overflows a float."""
     T, mu, eps = p.T, p.mu, p.eps
     try:
-        c1 = T ** (2.0 - mu)
+        c1 = math.pow(T, 2.0 - mu)  # raises for a numpy scalar T too, where ** returns inf
     except OverflowError:
         raise SolverError(f"T={T} is too long to rescale: T^(2-mu) overflows a float at mu={mu}") from None
     c2 = eps ** (1.0 - mu) * c1
@@ -200,7 +199,7 @@ _ORACLE_POINTS = 200
 _ORACLE_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=32)
+@_cached
 def _dyadic_rule(mu: float):
     """12-point Gauss-Legendre panels halving toward both ends of [0, 1].
 

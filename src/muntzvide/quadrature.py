@@ -36,11 +36,13 @@ __all__ = [
 ]
 
 
-# entries kept by each of the four rule and grid caches (gauss_jacobi,
-# to_fractional, _kernel_rule, muntz_basis.build_grid); per N a sweep needs one
-# grid, one kernel rule and one hat rule, plus one L2 rule per L2 size.  A test
-# that patches a rule constructor clears them first (``cache_clear()``).
+# the one policy of the four rule and grid caches (gauss_jacobi, _kernel_rule,
+# muntz_basis.build_grid, problem._dyadic_rule), keyed by argument value and
+# type.  Per N a sweep needs one grid and two kernel rules (mu and 0), plus one
+# Gauss-Jacobi L2 parent per L2 size.  A test that patches a rule constructor
+# clears them first (``cache_clear()``).
 _RULE_CACHE_SIZE = 128
+_cached = functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 
 
 def beta(a: float, b: float) -> float:
@@ -129,7 +131,7 @@ def _recurrence(npts: int, alpha: float, beta: float):
     return diag, off
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
+@_cached
 def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     """npts-point Gauss-Jacobi rule, exact to polynomial degree 2*npts - 1.
 
@@ -168,9 +170,8 @@ def gauss_jacobi(npts: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(alpha=alpha, beta=beta, nodes=nodes, weights=weights)
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
 def to_fractional(rule: QuadratureRule, lam: float) -> FractionalRule:
-    """Map a rule on [-1, 1] to the lambda-power rule on [0, 1], cached by rule object and lam."""
+    """Map a rule on [-1, 1] to the lambda-power rule on [0, 1], with read-only arrays that cached grids and kernel rules share."""
     _validate_lam(lam)
     z = 0.5 * (rule.nodes + 1.0)
     theta = z ** (1.0 / lam)
@@ -194,7 +195,7 @@ def singular_ratio(xi, lam: float, mu: float):
     return np.exp(-mu * (np.log(-np.expm1(np.log(xi) / lam)) - np.log1p(-xi)))[()]
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)
+@_cached
 def _kernel_rule(npts: int, mu: float, lam: float):
     """The weakly singular kernel rule, for the weight (1-xi)^(-mu) xi^(1/lam-1), and ``singular_ratio`` at its z nodes."""
     rule = to_fractional(gauss_jacobi(npts, -mu, 1.0 / lam - 1.0), lam)

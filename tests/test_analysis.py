@@ -22,7 +22,7 @@ from muntzvide import (
     solve_once,
     weighted_l2_error,
 )
-from muntzvide import muntz_basis, quadrature
+from muntzvide import muntz_basis, problem, quadrature
 from muntzvide.analysis import error_row
 
 
@@ -448,7 +448,7 @@ def test_a_given_reference_wins_over_the_closed_form():
 
 
 def test_a_warm_cache_solve_is_bitwise_a_cold_one():
-    caches = (quadrature.gauss_jacobi, quadrature.to_fractional, quadrature._kernel_rule, muntz_basis.build_grid)
+    caches = (quadrature.gauss_jacobi, quadrature._kernel_rule, muntz_basis.build_grid, problem._dyadic_rule)
 
     def run():
         _, sol, _ = solve_once(make_example("5.4"), 64, SolverConfig())

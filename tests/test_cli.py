@@ -1,6 +1,9 @@
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -439,6 +442,30 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "missing required keys" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_the_module_runs_as_a_process(tmp_path):
+    # ``python -m muntzvide.cli`` exits with main's status; the three runs share the wall clock
+    src = Path(main.__code__.co_filename).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = 5.1\nN = 4:8:2\noutput = {tmp_path / 'process.csv'}\n")
+    overrides = ([], ["--set", "lambda=1.5"], ["--set", "lambda=1e-6", "--set", f"output={tmp_path / 'small.csv'}"])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "muntzvide.cli", "sweep", "--config", str(cfg), *extra],
+            env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for extra in overrides
+    ]
+    # (stdout, stderr, status) of each
+    ok, refused, collapsed = [(*p.communicate(timeout=60), p.returncode) for p in procs]
+    assert ok[2] == 0 and ok[1] == ""
+    assert main(["sweep", "--config", str(cfg), "--set", f"output={tmp_path / 'inline.csv'}"]) == 0
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+    assert refused[2] == 2 and len(refused[1].splitlines()) == 1
+    assert refused[1].startswith("error: ") and "lambda" in refused[1]
+    assert collapsed[2] == 1
 
 
 def test_config_that_is_not_utf8_is_one_error_line_and_exit_2(tmp_path, capsys):

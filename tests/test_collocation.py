@@ -25,6 +25,7 @@ from muntzvide import (
     solve,
     to_fractional,
 )
+from muntzvide.quadrature import _kernel_rule
 
 
 def zero_problem(mu=0.5, eps=0.5, y0=0.0, f1=None):
@@ -46,6 +47,24 @@ def rules_for(n, mu, lam):
     qmu = to_fractional(gauss_jacobi(n + 1, -mu, 1.0 / lam - 1.0), lam)
     qhat = to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
     return qmu, qhat
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0])
+@pytest.mark.parametrize("kernel_first", [True, False])
+def test_the_hat_rule_is_the_kernel_rule_at_mu_zero(lam, kernel_first):
+    # assemble takes quad_hat from _kernel_rule(N+1, 0, lam), whose parent is
+    # gauss_jacobi at alpha = -0.0: each rule is built from cold caches
+    def build(kernel):
+        gauss_jacobi.cache_clear()
+        _kernel_rule.cache_clear()
+        if kernel:
+            return _kernel_rule(n + 1, 0.0, lam)[0]
+        return to_fractional(gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0), lam)
+
+    for n in (4, 16, 64, 192):
+        first, second = build(kernel_first), build(not kernel_first)
+        for name in ("nodes", "weights", "z_nodes"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), (n, name)
 
 
 def assembled(problem, n, lam, alpha=-0.5, beta_=-0.5):

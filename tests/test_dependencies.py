@@ -63,3 +63,28 @@ def test_package_exports_every_module_export_once():
     assert len(set(muntzvide.__all__)) == len(muntzvide.__all__)
     for m, name in joined:
         assert getattr(muntzvide, name) is getattr(importlib.import_module(f"muntzvide.{m}"), name), name
+
+
+def test_one_cache_policy_is_defined_once():
+    # functools serves only quadrature's ``_cached = functools.lru_cache(...)``,
+    # the policy every fixed rule and grid decorates itself with; a second
+    # policy or a cache of another kind elsewhere fails
+    uses = []
+    for path in sorted(Path(muntzvide.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                uses.append((path.stem, "from functools import"))
+            elif isinstance(node, ast.Import) and any(a.name == "functools" for a in node.names):
+                assert path.stem == "quadrature", f"{path.name} imports functools"
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                uses.append((path.stem, node.attr))
+        if path.stem == "quadrature":
+            policy = [
+                node for node in tree.body
+                if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_cached"]
+            ]
+            assert len(policy) == 1 and ast.unparse(policy[0].value) == (
+                "functools.lru_cache(maxsize=_RULE_CACHE_SIZE, typed=True)"
+            )
+    assert uses == [("quadrature", "lru_cache")]

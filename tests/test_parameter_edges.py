@@ -84,10 +84,13 @@ def test_every_valid_solve_is_finite_or_a_solver_error(key, mu, eps, log_t, y0, 
     finite_or_named(p, n, 1.0 / q, alpha)
 
 
-def test_long_horizon_fails_its_rows():
-    # T^(2 - mu) overflows a float for T >~ 3e205 at mu = 1/2: the rescaling
-    # cannot be formed, so each row fails by name
-    rows = convergence_sweep(make_example("5.1", T=1e250), SolverConfig(), [4, 8]).rows
+# a numpy scalar T, as np.logspace gives, overflows by name too
+@pytest.mark.parametrize("T", [1e250, np.float64(1e250)], ids=["float", "float64"])
+def test_long_horizon_fails_its_rows(T):
+    # T^(2 - mu) overflows a float from T = DBL_MAX^(2/3) ~ 3.19e205 at mu = 1/2
+    # (T = 3e205 still rescales): the rescaling cannot be formed, so each row
+    # fails by name
+    rows = convergence_sweep(make_example("5.1", T=T), SolverConfig(), [4, 8]).rows
     assert [r.failed for r in rows] == [True, True]
     for r in rows:
         assert r.message == "T=1e+250 is too long to rescale: T^(2-mu) overflows a float at mu=0.5"

@@ -5,12 +5,15 @@ import pytest
 
 from muntzvide import (
     QuadratureError,
+    QuadratureRule,
     beta,
+    build_grid,
     gauss_jacobi,
     singular_ratio,
     to_fractional,
 )
-from muntzvide.quadrature import _kernel_rule
+from muntzvide.problem import _dyadic_rule
+from muntzvide.quadrature import _RULE_CACHE_SIZE, _kernel_rule
 
 PAIRS = [(0.0, 0.0), (-0.5, -0.5), (-1.0 / 3.0, 2.0), (-0.5, 1.0)]
 
@@ -201,15 +204,31 @@ def test_invalid_rule_requests_raise_on_every_call():
 # --- fractional rules --------------------------------------------------------
 
 
-def test_repeat_fractional_rule_is_the_cached_object():
-    rule = gauss_jacobi(17, -0.5, 1.0)
-    frac = to_fractional(rule, 0.5)
-    assert to_fractional(rule, 0.5) is frac
-    # the key is the parent rule object, which gauss_jacobi hands out once
-    assert to_fractional(gauss_jacobi(17, -0.5, 1.0), 0.5) is frac
+def test_fractional_rule_is_read_only():
+    # cached grids and kernel rules share its arrays
+    frac = to_fractional(gauss_jacobi(17, -0.5, 1.0), 0.5)
     for arr in (frac.nodes, frac.weights, frac.z_nodes):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_fractional_rule_follows_a_changed_parent():
+    # a hand-built parent's arrays are writable; the mapped rule is of their
+    # values now, not of the ones an earlier call saw
+    rule = QuadratureRule(alpha=0.0, beta=0.0, nodes=np.array([-0.5, 0.5]), weights=np.ones(2))
+    assert list(to_fractional(rule, 1.0).nodes) == [0.25, 0.75]
+    rule.nodes[:] = [-0.9, 0.9]
+    rule.weights[:] = 2.0
+    frac = to_fractional(rule, 1.0)
+    assert list(frac.nodes) == [0.5 * (1.0 - 0.9), 0.5 * (1.0 + 0.9)]
+    assert list(frac.weights) == [1.0, 1.0]
+
+
+def test_every_fixed_rule_shares_one_cache_policy():
+    policy = {"maxsize": _RULE_CACHE_SIZE, "typed": True}
+    for cached in (gauss_jacobi, _kernel_rule, build_grid, _dyadic_rule):
+        assert cached.cache_parameters() == policy, cached.__name__
+    assert not hasattr(to_fractional, "cache_clear")
 
 
 def test_invalid_lambda_raises_on_every_call():
@@ -227,7 +246,9 @@ def test_repeat_kernel_rule_is_the_cached_object(mu, lam):
     rule, ratio = _kernel_rule(12, mu, lam)
     again = _kernel_rule(12, mu, lam)
     assert again[0] is rule and again[1] is ratio
-    assert rule is to_fractional(gauss_jacobi(12, -mu, 1.0 / lam - 1.0), lam)
+    mapped = to_fractional(gauss_jacobi(12, -mu, 1.0 / lam - 1.0), lam)
+    for name in ("nodes", "weights", "z_nodes"):
+        assert np.array_equal(getattr(rule, name), getattr(mapped, name))
     assert np.array_equal(ratio, singular_ratio(rule.z_nodes, lam, mu))
     for arr in (rule.nodes, rule.weights, rule.z_nodes, ratio):
         with pytest.raises(ValueError):
