@@ -160,36 +160,29 @@ def solve_once(problem: VideProblem, n: int, config: SolverConfig):
     return grid, sol, runtime_ms
 
 
-def _true_values(problem, reference, theta) -> np.ndarray:
-    """(phi, phi*) at theta, shape theta.shape + (2,): from ``reference`` if given, else exact."""
+def _truth(problem, reference, n: int):
+    """The truth theta -> (phi, phi*) for errors up to order n: a ``reference`` above n, else the closed form."""
     if reference is not None:
-        return interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
-    return np.stack([sample(fn, theta) for fn in exact_phi_pair(problem)], axis=-1)
-
-
-def _check_reference(problem, reference, n: int) -> None:
-    """Errors up to order n need a reference of higher order, or else an exact solution."""
-    if reference is None:
-        if exact_phi_pair(problem) is None:
-            raise ValueError(
-                f"problem {problem.label or '<anonymous>'} has no exact solution; "
-                "supply a reference solution"
-            )
-    elif reference.grid.n <= n:
-        raise ValueError(f"reference order {reference.grid.n} must exceed the solve order {n}")
+        if reference.grid.n <= n:
+            raise ValueError(f"reference order {reference.grid.n} must exceed the solve order {n}")
+        return lambda theta: interpolate(reference.grid, np.column_stack([reference.u, reference.u_star]), theta)
+    exact = exact_phi_pair(problem)
+    if exact is None:
+        raise ValueError(f"problem {problem.label or '<anonymous>'} has no exact solution; supply a reference solution")
+    return lambda theta: np.stack([sample(fn, theta) for fn in exact], axis=-1)
 
 
 def error_row(problem, sol, config, reference, runtime_ms) -> SweepRow:
     """Sweep row for ``sol`` against a ``reference`` of order above its N, else the exact solution."""
     grid = sol.grid
-    _check_reference(problem, reference, grid.n)
+    truth = _truth(problem, reference, grid.n)
     m = config.l2_points if config.l2_points is not None else max(4 * grid.n, 200)
     rule = to_fractional(gauss_jacobi(m, config.alpha, config.beta), 1.0)
     # (phi, phi*) in two calls, at the N-independent points and at this solve's
     # grid points: one call over all points lets BLAS sum a reference
     # interpolant in another order, which moves the errors' last digits
     theta = np.concatenate([rule.nodes, _linf_points(config.linf_points)])
-    true = np.concatenate([_true_values(problem, reference, theta), _true_values(problem, reference, grid.points)])
+    true = np.concatenate([truth(theta), truth(grid.points)])
     # the sup norm runs over the uniform grid and this solve's own grid points
     theta = np.concatenate([theta, grid.points])
     err = true - interpolate(grid, np.column_stack([sol.u, sol.u_star]), theta)
@@ -215,7 +208,7 @@ def convergence_sweep(
         _validate_count("n", n, 1)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be nonempty and strictly increasing, got {n_list}")
-    _check_reference(problem, reference, max(n_list))
+    _truth(problem, reference, max(n_list))
     table = ConvergenceTable()
     for n in n_list:
         try:

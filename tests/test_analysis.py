@@ -293,6 +293,16 @@ def test_fit_rates_needs_r2_of_095_for_exponential():
     assert report.classification == "algebraic"
 
 
+@pytest.mark.parametrize("rate, expected", [(0.4, "algebraic"), (0.6, "exponential")])
+def test_fit_rates_needs_slope_of_minus_05_for_exponential(rate, expected):
+    # perfect fits (r2_n = 1) on either side of the slope threshold -0.5; a
+    # slope of exactly -0.5 is left to rounding, so it is not a case here
+    table = synthetic_table([(n, 10.0 ** (-rate * n)) for n in (4, 6, 8, 10, 12)])
+    report = fit_rates(table)
+    assert report.channels["linf_e"].r2_n == pytest.approx(1.0)
+    assert report.classification == expected
+
+
 def test_fit_rates_insufficient_data():
     with pytest.raises(InsufficientDataError):
         fit_rates(synthetic_table([(4, 1e-3), (6, 1e-4)]))

@@ -661,6 +661,21 @@ def test_help_lists_the_modes_and_options(capsys):
     assert "{solve,sweep,compare}" in out and "--config CONFIG" in out and "--set KEY=VALUE" in out
 
 
+def test_the_declared_console_script_is_main_and_its_help_exits_0():
+    # read by pattern, not tomllib, which Python 3.10 lacks; the package need
+    # not be installed, so the entry is run as its generated wrapper would run it
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, func = re.fullmatch(r'\s*muntzvide\s*=\s*"([\w.]+):(\w+)"\s*', scripts).groups()
+    assert getattr(importlib.import_module(module), func) is main
+    src = Path(main.__code__.co_filename).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and "{solve,sweep,compare}" in proc.stdout
+
+
 def test_bad_override_is_named_not_numbered(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = 5.1\nN = 4\n")

@@ -120,6 +120,15 @@ def test_default_lambda_matches_to_1e_12():
     assert default_lambda(1 / 3 + 1e-6) == 1 / 2
 
 
+def test_default_lambda_near_one_falls_back_to_one_half():
+    # a mu within 1e-12 of 1 rounds to the fraction 1/1, which is no match:
+    # lam = 1 there is 3 to 8 decades worse than 1/2 on 5.1-5.3 at N = 16
+    # (linf_e at mu = 1 - 1e-13: 3.7e-6 against 8.1e-10 on 5.1, 7.2e5 against
+    # 6.2e-3 on 5.3)
+    assert default_lambda(1 - 1e-13) == 0.5
+    assert default_lambda(1 - 1e-10) == 0.5
+
+
 # --- rescaling ------------------------------------------------------------------
 
 
